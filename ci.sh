@@ -23,6 +23,12 @@
 #      checked against the model contract end to end
 #   8. rustdoc across the workspace with warnings denied (broken
 #      intra-doc links are errors)
+#   9. the benchmark package (perfbench/, its own workspace) built and
+#      its transparency test run: the benchmark reads the engine only
+#      through its public API (Medium::resolve filling channel records,
+#      Network::step, set_parallelism, ParConfig, WorkerPool), so an
+#      API change that breaks it fails here rather than in a benchmark
+#      run
 #
 # Everything is offline: external dependencies resolve to the stubs
 # under vendor/ (see Cargo.toml [workspace.dependencies]).
@@ -58,5 +64,8 @@ cargo run --release -q -p crn-bench --features validate --bin experiments -- all
 
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+echo "==> perfbench: build and transparency test"
+(cd perfbench && cargo test --release -q)
 
 echo "ci.sh: all green"

@@ -127,7 +127,7 @@ pub fn a2(effort: Effort) -> Table {
             let mut net = Network::new(model, protos, seed).expect("construct");
             let mut done_at = None;
             for s in 0..MEASURE_BUDGET {
-                net.step();
+                net.step_unrecorded();
                 if net
                     .protocols()
                     .iter()

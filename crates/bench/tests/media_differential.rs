@@ -206,3 +206,23 @@ fn physical_medium_conformant_for_all_three_protocols() {
     );
     assert!(slots < budget);
 }
+
+/// The multihop oracle off the complete graph builds its channel
+/// records through the single-hop oracle's grouping; this pins the
+/// full trace (records included) of a ring run, so any change to how
+/// those records are grouped or ordered flips a reviewed constant.
+#[test]
+fn multihop_ring_trace_is_pinned() {
+    let n = 24;
+    let model = StaticChannels::local(shared_core(n, 5, 2).expect("valid shape"), 1);
+    let medium = OracleMultihop::new(Topology::ring(n));
+    let mut net = Network::with_medium(model, cogcast_protos(n), 1, medium).expect("construct");
+    let (slots_run, digest) = drive(&mut net, 2000, |net| {
+        net.protocols().iter().all(|p| p.is_informed())
+    });
+    assert_eq!(slots_run, 107, "multihop-ring run length diverged");
+    assert_eq!(
+        digest, 0x5144_dc75_26b5_2596,
+        "multihop-ring trace diverged"
+    );
+}

@@ -63,7 +63,7 @@ where
     let mut slots_run = 0u64;
     for _ in 0..budget {
         trace.push(net.step().clone());
-        digest.record(net.last_activity());
+        digest.record(net.last_activity().expect("step() records every slot"));
         let violations = net.check_conformance();
         assert!(
             violations.is_empty(),

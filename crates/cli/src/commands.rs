@@ -42,12 +42,21 @@ fn pattern_by_name(name: &str) -> Result<OverlapPattern, String> {
         })
 }
 
+/// The `--trials` flag: every command that takes it summarizes at least
+/// one trial, so zero is an input error.
+fn trials(opts: &Opts, default: usize) -> Result<usize, String> {
+    match opts.get("trials", default)? {
+        0 => Err("--trials must be at least 1".into()),
+        t => Ok(t),
+    }
+}
+
 fn shape(opts: &Opts) -> Result<(usize, usize, usize, u64, usize), String> {
     let n = opts.get("n", 32usize)?;
     let c = opts.get("c", 8usize)?;
     let k = opts.get("k", 2usize)?;
     let seed = opts.get("seed", 1u64)?;
-    let trials = opts.get("trials", 10usize)?;
+    let trials = trials(opts, 10)?;
     if n == 0 || c == 0 || k == 0 || k > c {
         return Err(format!(
             "need n,c >= 1 and 1 <= k <= c (n={n}, c={c}, k={k})"
@@ -267,7 +276,7 @@ pub fn rendezvous(opts: &Opts) -> Result<String, String> {
     let c = opts.get("c", 8usize)?;
     let k = opts.get("k", 2usize)?;
     let seed = opts.get("seed", 1u64)?;
-    let trials = opts.get("trials", 50usize)?;
+    let trials = trials(opts, 50)?;
     let deterministic = opts.has("deterministic");
     if k == 0 || k > c {
         return Err(format!("need 1 <= k <= c (k = {k}, c = {c})"));
@@ -348,7 +357,7 @@ pub fn game(opts: &Opts) -> Result<String, String> {
     let c = opts.get("c", 16usize)?;
     let k = opts.get("k", 2usize)?;
     let seed = opts.get("seed", 1u64)?;
-    let trials = opts.get("trials", 200usize)?;
+    let trials = trials(opts, 200)?;
     let player_name = opts.get_str("player", "fresh");
     if k == 0 || k > c {
         return Err(format!("need 1 <= k <= c (k = {k}, c = {c})"));
@@ -443,7 +452,7 @@ pub fn backoff(opts: &Opts) -> Result<String, String> {
     let m = opts.get("m", 16usize)?;
     let n_max = opts.get("nmax", 256usize)?;
     let seed = opts.get("seed", 1u64)?;
-    let trials = opts.get("trials", 200usize)?;
+    let trials = trials(opts, 200)?;
     if m == 0 || m > n_max {
         return Err(format!("need 1 <= m <= nmax (m = {m}, nmax = {n_max})"));
     }

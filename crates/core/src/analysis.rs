@@ -136,7 +136,7 @@ pub fn measure_stage_two<CM: ChannelModel>(
                 break;
             }
             let in_stage_two = informed * 2 >= c;
-            net.step();
+            net.step_unrecorded();
             let now = net.protocols().iter().filter(|p| p.is_informed()).count();
             if in_stage_two {
                 opportunities += (n - informed) as u64;

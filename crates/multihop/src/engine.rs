@@ -111,10 +111,12 @@ where
     }
 
     /// Runs until `done` holds; returns the completing slot count, or
-    /// `None` when the budget is exhausted.
+    /// `None` when the budget is exhausted. Steps with
+    /// [`Network::step_unrecorded`], so the slots build no channel
+    /// records.
     pub fn run(&mut self, budget: u64, mut done: impl FnMut(&Self) -> bool) -> Option<u64> {
         for _ in 0..budget {
-            self.step();
+            self.inner.step_unrecorded();
             if done(self) {
                 return Some(self.inner.slot());
             }

@@ -91,16 +91,11 @@ pub fn run_flood<CM: ChannelModel>(
     protos.extend((1..n).map(|_| CogCast::node()));
     let mut net = MultihopNetwork::new(topology, model, protos, seed)?;
     let mut informed_per_slot = Vec::new();
-    let mut slots = None;
-    for s in 0..budget {
-        net.step();
+    let slots = net.run(budget, |net| {
         let informed = net.protocols().iter().filter(|p| p.is_informed()).count();
         informed_per_slot.push(informed);
-        if informed == n {
-            slots = Some(s + 1);
-            break;
-        }
-    }
+        informed == n
+    });
     Ok(FloodRun {
         slots,
         budget,

@@ -124,7 +124,7 @@ pub fn run_baseline_broadcast<CM: ChannelModel>(
     let mut informed_per_slot = Vec::new();
     let mut slots = None;
     for s in 0..budget {
-        net.step();
+        net.step_unrecorded();
         let informed = net.protocols().iter().filter(|p| p.is_informed()).count();
         informed_per_slot.push(informed);
         if informed == n {

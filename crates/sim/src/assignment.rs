@@ -267,11 +267,45 @@ impl ChannelAssignment {
 
     /// Checks the model invariants against this assignment's `k`.
     ///
+    /// Costs `O(n·c)` whenever at least `k` channels are common to every
+    /// node — then every pair overlaps on at least those `k`, which
+    /// covers every generator's shared core. Otherwise it falls back to
+    /// the `O(n²·c)` pairwise scan, which names the offending pair.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::OverlapViolation`] naming the first offending
     /// pair.
     pub fn validate(&self) -> Result<(), SimError> {
+        if self.common_channels() >= self.k {
+            return Ok(());
+        }
+        self.validate_pairwise()
+    }
+
+    /// How many channels every node holds, by a running merge
+    /// intersection of the sorted sets (stops early once fewer than `k`
+    /// remain).
+    fn common_channels(&self) -> usize {
+        let mut common = self.sets[0].clone();
+        for set in &self.sets[1..] {
+            if common.len() < self.k {
+                break;
+            }
+            let mut j = 0;
+            common.retain(|ch| {
+                while j < set.len() && set[j] < *ch {
+                    j += 1;
+                }
+                j < set.len() && set[j] == *ch
+            });
+        }
+        common.len()
+    }
+
+    /// The pairwise scan: the first pair, in `(a, b)` order, that
+    /// overlaps on fewer than `k` channels.
+    fn validate_pairwise(&self) -> Result<(), SimError> {
         let n = self.n();
         for a in 0..n {
             for b in (a + 1)..n {
@@ -847,6 +881,48 @@ mod tests {
                     prop_assert!(w[0] < w[1]);
                 }
             }
+        }
+
+        /// The `O(n·c)` common-core check must agree with the pairwise
+        /// scan on every input: the same `Ok`, or the same first
+        /// offending pair and counts.
+        #[test]
+        fn prop_validate_matches_pairwise_scan(
+            n in 1usize..12,
+            extra in 1usize..16,
+            core in 0usize..4,
+            k_off in 0usize..6,
+            ragged in 0usize..2,
+            break_core in 0usize..2,
+            seed in 0u64..10_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let total = core + extra;
+            let fixed = rng.gen_range(1..=extra);
+            let mut sets: Vec<Vec<GlobalChannel>> = (0..n)
+                .map(|_| {
+                    let size = if ragged == 1 { rng.gen_range(1..=extra) } else { fixed };
+                    let mut private: Vec<u32> = (core as u32..total as u32).collect();
+                    private.shuffle(&mut rng);
+                    (0..core as u32)
+                        .chain(private.into_iter().take(size))
+                        .map(GlobalChannel)
+                        .collect()
+                })
+                .collect();
+            if break_core == 1 && core > 0 {
+                // Knock one core channel out of one node, so the common
+                // core shrinks and violations become likely.
+                let node = rng.gen_range(0..n);
+                let drop = GlobalChannel(rng.gen_range(0..core as u32));
+                sets[node].retain(|&ch| ch != drop);
+            }
+            for set in &mut sets {
+                set.sort_unstable();
+            }
+            let min_c = sets.iter().map(Vec::len).min().unwrap();
+            let a = ChannelAssignment { sets, total, k: 1 + k_off % min_c };
+            prop_assert_eq!(a.validate(), a.validate_pairwise());
         }
 
         #[test]

@@ -72,6 +72,9 @@ pub enum Rule {
     /// Recorded winners must match an independent `ENGINE`-stream
     /// replay (see [`replay_winners`]).
     RngStreamDiscipline,
+    /// The slot has no channel records to check: it ran through
+    /// [`crate::Network::step_unrecorded`], or no slot ran yet.
+    Unrecorded,
 }
 
 impl fmt::Display for Rule {
@@ -86,6 +89,7 @@ impl fmt::Display for Rule {
             Rule::PairwiseOverlap => "pairwise-overlap",
             Rule::JamBudget => "jam-budget",
             Rule::RngStreamDiscipline => "rng-stream-discipline",
+            Rule::Unrecorded => "unrecorded",
         };
         f.write_str(s)
     }

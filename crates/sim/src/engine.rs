@@ -401,6 +401,10 @@ pub struct Network<M, P, CM, Med = OracleSingleHop> {
     medium: Med,
     slot: u64,
     activity: SlotActivity,
+    /// Whether `activity.channels` holds the records of the last
+    /// executed slot: true after [`Network::step`], false before the
+    /// first slot and after [`Network::step_unrecorded`].
+    recorded: bool,
     scratch: Scratch<M>,
     par: Option<ParConfig>,
     /// Number of protocols reporting done as of the last executed
@@ -540,6 +544,7 @@ where
             medium,
             slot: 0,
             activity: SlotActivity::default(),
+            recorded: false,
             scratch: Scratch::default(),
             par: None,
             done_cache: None,
@@ -576,10 +581,25 @@ where
     /// Checks the most recently executed slot against the Section 2
     /// model contract (see [`crate::conformance`]), applying only the
     /// clauses the medium's [`crate::medium::MediumProfile`] claims;
-    /// returns every violation found. Valid only after at least one
+    /// returns every violation found. Valid right after a
     /// [`Network::step`] — the model still holds that slot's channel
     /// sets until the next step advances it.
+    ///
+    /// A slot without channel records — none executed yet, or the last
+    /// one ran through [`Network::step_unrecorded`] — cannot be
+    /// checked, and reports exactly one
+    /// [`crate::conformance::Rule::Unrecorded`] violation rather than
+    /// passing as an empty, conformant slot.
     pub fn check_conformance(&self) -> Vec<crate::conformance::Violation> {
+        if !self.recorded {
+            return vec![crate::conformance::Violation {
+                slot: self.activity.slot,
+                rule: crate::conformance::Rule::Unrecorded,
+                detail: "no channel records: no slot ran yet, or it ran through \
+                         step_unrecorded"
+                    .into(),
+            }];
+        }
         crate::conformance::check_slot_for(
             &self.model,
             self.interference(),
@@ -618,9 +638,12 @@ where
         self.par.as_ref()
     }
 
-    /// The activity record of the most recently executed slot.
-    pub fn last_activity(&self) -> &SlotActivity {
-        &self.activity
+    /// The activity record of the most recently executed slot, if it
+    /// has one: `Some` right after [`Network::step`], `None` before the
+    /// first slot and after [`Network::step_unrecorded`], whose slots
+    /// build no channel records.
+    pub fn last_activity(&self) -> Option<&SlotActivity> {
+        self.recorded.then_some(&self.activity)
     }
 
     /// True once every protocol reports [`Protocol::is_done`].
@@ -643,6 +666,36 @@ where
     /// Panics if a protocol selects a local channel `>= c` — that is a
     /// protocol bug, not a recoverable condition.
     pub fn step(&mut self) -> &SlotActivity {
+        self.execute_slot(true);
+        &self.activity
+    }
+
+    /// Executes one slot without asking the medium for channel records.
+    ///
+    /// Protocols observe exactly what [`Network::step`] would have shown
+    /// them — the medium draws the same random numbers either way — so
+    /// slot counts, events and protocol state are identical; only the
+    /// physical-layer record is skipped, which is most of the oracle's
+    /// resolve cost on large channel spaces. Afterwards
+    /// [`Network::last_activity`] is `None` and
+    /// [`Network::check_conformance`] reports the slot as unrecorded.
+    /// [`Network::run`], [`Network::run_slots`] and
+    /// [`Network::run_to_completion`] step this way. With the
+    /// `validate` feature the records are still built and every slot is
+    /// checked.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Network::step`].
+    pub fn step_unrecorded(&mut self) {
+        self.execute_slot(false);
+    }
+
+    /// One slot; `records` says whether the caller reads its channel
+    /// records.
+    fn execute_slot(&mut self, records: bool) {
+        // The in-step validator checks every slot, so it needs records.
+        let build_records = records || cfg!(feature = "validate");
         let slot = self.slot;
         let n = self.model.n();
         let k = self.model.k();
@@ -814,10 +867,12 @@ where
                 total_channels: self.model.total_channels(),
                 actions,
                 tuned,
+                records: build_records,
             },
             events,
             &mut self.activity,
         );
+        self.recorded = build_records;
 
         // Phase D: deliver observations (sleepers observe nothing),
         // fused with a doneness tally so `all_done` is O(1) in run
@@ -898,16 +953,16 @@ where
                 crate::conformance::report(&violations)
             );
         }
+        self.recorded = records;
 
         self.slot += 1;
-        &self.activity
     }
 
     /// Runs until `done` holds (checked after every slot) or the budget
-    /// is exhausted.
+    /// is exhausted, stepping with [`Network::step_unrecorded`].
     pub fn run(&mut self, budget: u64, mut done: impl FnMut(&Self) -> bool) -> RunOutcome {
         for _ in 0..budget {
-            self.step();
+            self.step_unrecorded();
             if done(self) {
                 return RunOutcome::Done { slots: self.slot };
             }
@@ -915,14 +970,15 @@ where
         RunOutcome::Timeout { budget }
     }
 
-    /// Runs exactly `slots` slots.
+    /// Runs exactly `slots` slots with [`Network::step_unrecorded`].
     pub fn run_slots(&mut self, slots: u64) {
         for _ in 0..slots {
-            self.step();
+            self.step_unrecorded();
         }
     }
 
-    /// Runs until every protocol reports done, within the budget.
+    /// Runs until every protocol reports done, within the budget,
+    /// stepping with [`Network::step_unrecorded`].
     pub fn run_to_completion(&mut self, budget: u64) -> RunOutcome {
         if self.all_done() {
             return RunOutcome::Done { slots: self.slot };
@@ -1050,7 +1106,7 @@ mod tests {
         let mut net = one_channel_net(vec![Scripted::new(vec![Action::Sleep])]);
         net.step();
         assert!(net.protocols()[0].events.is_empty());
-        assert_eq!(net.last_activity().sleepers, 1);
+        assert_eq!(net.last_activity().map(|a| a.sleepers), Some(1));
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //!
 //! - [`OracleSingleHop`] — the paper's Section 2 oracle: one uniformly
 //!   random winner per contended channel, success feedback, losers
-//!   overhear the winner. This is the exact allocation-free hot path
-//!   the engine always had; its winner draws consume the `ENGINE` RNG
-//!   stream in ascending channel order, so golden traces are
-//!   byte-identical to the pre-medium engine.
+//!   overhear the winner. It resolves into compact per-node outcomes
+//!   and builds channel records only for callers that read them; its
+//!   winner draws consume the `ENGINE` RNG stream in ascending channel
+//!   order, so golden traces are byte-identical to the pre-medium
+//!   engine.
 //! - [`OracleMultihop`] — receiver-centric resolution over a
 //!   [`Topology`]: each listener independently hears one uniformly
 //!   random transmitting *neighbor* on its channel. On a complete
@@ -81,13 +82,19 @@ pub struct SlotInputs<'a, M> {
     /// The participating `(channel, node, is_broadcast)` triples, in
     /// ascending node order.
     pub tuned: &'a [(GlobalChannel, usize, bool)],
+    /// Whether the caller reads this slot's [`ChannelActivity`]
+    /// records. When `false` the medium may skip building them and
+    /// leave `activity.channels` as it found it; the engine then never
+    /// exposes them (see [`Medium`]).
+    pub records: bool,
 }
 
 /// A slot-resolution substrate.
 ///
 /// Given the committed per-node tunings, a medium fills in one
-/// [`Event`] per participating node and the slot's [`ChannelActivity`]
-/// records, drawing any randomness from its own dedicated RNG stream.
+/// [`Event`] per participating node and, when asked, the slot's
+/// [`ChannelActivity`] records, drawing any randomness from its own
+/// dedicated RNG stream.
 ///
 /// Contract:
 ///
@@ -95,9 +102,19 @@ pub struct SlotInputs<'a, M> {
 ///   and `Some(Event::Jammed)` for jammed nodes; the medium must set
 ///   `events[i]` for exactly the nodes in `inputs.tuned`.
 /// - `activity` arrives with `slot`, `sleepers` and `jammed` already
-///   set and `channels` still holding the previous slot's records (for
-///   buffer recycling); the medium replaces them with this slot's
-///   records, sorted ascending by channel.
+///   set and `channels` still holding the records of the last slot
+///   that built them (for buffer recycling). When
+///   [`SlotInputs::records`] is `true` the medium replaces them with
+///   this slot's records, sorted ascending by channel. When it is
+///   `false` — [`crate::Network::step_unrecorded`] and the run loops
+///   built on it — the medium may skip the records: the events alone
+///   drive the protocols, and the engine marks the slot unrecorded.
+///   [`OracleSingleHop`] and [`OracleMultihop`] skip them; a medium
+///   that always builds them, such as [`PhysicalDecay`], stays
+///   correct.
+/// - Records and events never change the random draws: a medium draws
+///   the same numbers, in the same order, whether or not it builds
+///   records.
 /// - All randomness comes from the medium's own stream, reseeded via
 ///   [`Medium::reseed`] when the network is built — never from the
 ///   per-node or jammer streams.
@@ -126,53 +143,149 @@ fn empty_channel_record() -> ChannelActivity {
     }
 }
 
+/// Sentinel for "no winner" in the oracle's per-channel winner field.
+const NO_WINNER: u32 = u32::MAX;
+
+/// One channel with at least one participant this slot, as the oracle
+/// resolves it.
+#[derive(Debug, Clone, Copy)]
+struct ActiveChannel {
+    broadcasters: u32,
+    listeners: u32,
+    /// Where the channel's group starts in [`OracleSingleHop::grouped`]:
+    /// its broadcasters, then its listeners, each in ascending node
+    /// order.
+    start: u32,
+    /// Placement cursors into the group while it is being filled.
+    next_broadcaster: u32,
+    next_listener: u32,
+    /// The winning node, or [`NO_WINNER`].
+    winner: u32,
+}
+
+/// Sorts `items` ascending by `key` — every key below `bound` — with a
+/// stable least-significant-digit radix sort.
+///
+/// The digit width adapts to the input: `p` passes of `⌈bits/p⌉`-bit
+/// digits (at most 11 bits, so the histogram stays in L1) cost about
+/// `p · (len + 2^digit)`, and the cheapest `p` is taken, so a few items
+/// over a large key space use several narrow passes and many items a
+/// few wide ones. `scratch` and `counts` are reusable buffers; `counts`
+/// is sized by `bound` alone, so for a fixed `bound` only a longer
+/// input than ever before allocates.
+fn radix_sort_by_key<T: Copy>(
+    items: &mut Vec<T>,
+    scratch: &mut Vec<T>,
+    counts: &mut Vec<u32>,
+    bound: usize,
+    key: impl Fn(&T) -> u32,
+) {
+    const MAX_DIGIT: u32 = 11;
+    let len = items.len();
+    let bits = usize::BITS - bound.saturating_sub(1).leading_zeros();
+    if len < 2 || bits == 0 {
+        return;
+    }
+    let (passes, digit) = (bits.div_ceil(MAX_DIGIT)..=bits)
+        .map(|p| (p, bits.div_ceil(p)))
+        .min_by_key(|&(p, d)| p as usize * (len + (1usize << d)))
+        .expect("bits >= 1");
+    counts.resize(1 << bits.min(MAX_DIGIT), 0);
+    let mask = (1u32 << digit) - 1;
+    for pass in 0..passes {
+        let shift = pass * digit;
+        if shift >= bits {
+            break;
+        }
+        let counts = &mut counts[..1 << digit];
+        counts.fill(0);
+        for item in items.iter() {
+            counts[((key(item) >> shift) & mask) as usize] += 1;
+        }
+        let mut offset = 0;
+        for count in counts.iter_mut() {
+            let c = *count;
+            *count = offset;
+            offset += c;
+        }
+        scratch.clear();
+        scratch.resize(len, items[0]);
+        for item in items.iter() {
+            let bucket = &mut counts[((key(item) >> shift) & mask) as usize];
+            scratch[*bucket as usize] = *item;
+            *bucket += 1;
+        }
+        std::mem::swap(items, scratch);
+    }
+}
+
+/// The spare-record class of `record`: the bit length of its smaller
+/// vector capacity, so class `j + 1` holds any group of up to `2^j`
+/// nodes a side.
+fn record_class(record: &ChannelActivity) -> usize {
+    let capacity = record
+        .broadcasters
+        .capacity()
+        .min(record.listeners.capacity());
+    (usize::BITS - capacity.leading_zeros()) as usize
+}
+
 /// The paper's Section 2 collision oracle — the default medium.
 ///
 /// One uniformly random broadcaster per contended channel wins; all
 /// listeners on the channel receive its message; the winner gets
-/// success feedback and the losers overhear the winning message. The
-/// resolution path is allocation-free in steady state (see
-/// `crn-sim/tests/alloc.rs`): channel grouping uses an epoch-stamped
-/// sparse counting sort over only the *active* channels, and the
-/// published [`ChannelActivity`] records are recycled through a
-/// channel-keyed pool.
+/// success feedback and the losers overhear the winning message.
+///
+/// Resolution works on compact arrays: one entry per *active* channel
+/// (found through an epoch-stamped index, so the model's full channel
+/// space is never scanned or cleared), the participants grouped by
+/// channel, and a radix sort of the active channel ids for the winner
+/// draws. [`ChannelActivity`] records are built from those arrays only
+/// when [`SlotInputs::records`] asks for them. Both paths are
+/// allocation-free in steady state (see `crn-sim/tests/alloc.rs`).
 #[derive(Debug)]
 pub struct OracleSingleHop {
     engine_rng: SimRng,
-    /// `(channel, node, is_broadcast)`, sorted by channel.
-    tuned: Vec<(GlobalChannel, usize, bool)>,
-    /// Sparse activity index: per global channel, the epoch (slot + 1)
-    /// that last touched it. A stale stamp means "inactive this slot",
-    /// so no per-slot clearing of the channel space is ever needed.
-    chan_epoch: Vec<u64>,
-    /// Per global channel, its slot in `active` (valid only when the
-    /// epoch stamp is current); reused as the running placement offset
-    /// during the grouping pass.
-    chan_pos: Vec<u32>,
-    /// The distinct channels touched this slot, with participant counts.
-    active: Vec<(GlobalChannel, u32)>,
-    /// Per node, the winning node on its channel (if any).
-    winners: Vec<Option<usize>>,
-    /// Retired [`ChannelActivity`] records, indexed by global channel.
-    ///
-    /// Keying the pool by channel (rather than recycling LIFO) means
-    /// each channel's broadcaster/listener vectors converge to *that
-    /// channel's* high-water capacity, after which refills never
-    /// reallocate. Costs `O(total_channels)` empty records of scratch
-    /// memory.
-    pool: Vec<ChannelActivity>,
+    /// The current epoch; bumped every slot, so a stale stamp in
+    /// `chan_index` means "inactive this slot" and the channel space is
+    /// never cleared between slots.
+    epoch: u32,
+    /// Per global channel: `(epoch stamp, index into active)`; the
+    /// index is valid only when the stamp is current.
+    chan_index: Vec<(u32, u32)>,
+    /// Per participant (in `tuned` order), its channel's index into
+    /// `active`.
+    tuned_active: Vec<u32>,
+    /// The distinct channels touched this slot, in discovery order.
+    active: Vec<ActiveChannel>,
+    /// `(channel, index into active)`, ascending by channel.
+    order: Vec<(GlobalChannel, u32)>,
+    /// Radix-sort buffers for `order`.
+    order_scratch: Vec<(GlobalChannel, u32)>,
+    radix_counts: Vec<u32>,
+    /// The participants grouped by channel (see [`ActiveChannel::start`]).
+    grouped: Vec<NodeId>,
+    /// Channel records not in use this slot, kept for their vectors'
+    /// capacity; indexed by [`record_class`] of the smaller capacity.
+    spare_records: Vec<Vec<ChannelActivity>>,
+    /// Records created so far (in use plus spare).
+    records_made: usize,
 }
 
 impl Default for OracleSingleHop {
     fn default() -> Self {
         OracleSingleHop {
             engine_rng: derive_rng(0, streams::ENGINE),
-            tuned: Vec::new(),
-            chan_epoch: Vec::new(),
-            chan_pos: Vec::new(),
+            epoch: 0,
+            chan_index: Vec::new(),
+            tuned_active: Vec::new(),
             active: Vec::new(),
-            winners: Vec::new(),
-            pool: Vec::new(),
+            order: Vec::new(),
+            order_scratch: Vec::new(),
+            radix_counts: Vec::new(),
+            grouped: Vec::new(),
+            spare_records: Vec::new(),
+            records_made: 0,
         }
     }
 }
@@ -183,60 +296,168 @@ impl OracleSingleHop {
         OracleSingleHop::default()
     }
 
-    /// Orders `unsorted` by global channel into `self.tuned`, ties
-    /// broken by node id.
+    /// Groups `tuned` by channel: fills `active`, `tuned_active`,
+    /// `grouped`, and `order` (ascending by channel).
     ///
-    /// Cost is `O(T + A log A)` for `T` tuned nodes on `A` distinct
-    /// *active* channels — never proportional to the model's full
-    /// channel space `C`. An epoch stamp (`slot + 1`) marks the
-    /// channels touched this slot, so the per-channel arrays are
-    /// neither cleared nor scanned between slots; sparse slots (the
-    /// common case in COGCAST/COGCOMP and all rendezvous baselines)
-    /// pay only for what they touch. The ordering is identical to
-    /// sorting by `(channel, node)`: the input is in ascending node
-    /// order and each node appears at most once, so stable placement
-    /// by channel preserves node order within each group.
-    fn sort_tuned_by_channel(
-        &mut self,
-        slot: u64,
-        total_channels: usize,
-        unsorted: &[(GlobalChannel, usize, bool)],
-    ) {
-        let tuned = &mut self.tuned;
-        tuned.clear();
+    /// Costs `O(T + A)` for `T` participants on `A` active channels,
+    /// plus a radix sort of the `A` channel ids — never proportional to
+    /// the model's full channel space `C`, which only the first pass
+    /// touches (once per participant). Placement walks `tuned` in
+    /// ascending node order, so each group's broadcasters and listeners
+    /// stay in node order.
+    fn group_by_channel(&mut self, total_channels: usize, tuned: &[(GlobalChannel, usize, bool)]) {
         // Sized to the channel space once (amortized; see tests/alloc.rs),
         // then only the active entries are ever touched again.
-        if self.chan_epoch.len() < total_channels {
-            self.chan_epoch.resize(total_channels, 0);
-            self.chan_pos.resize(total_channels, 0);
+        if self.chan_index.len() < total_channels {
+            self.chan_index.resize(total_channels, (0, 0));
         }
-        let epoch = slot + 1; // stamps start at 0, so epoch 0 never matches
-        let active = &mut self.active;
-        active.clear();
-        for &(ch, _, _) in unsorted.iter() {
-            let ci = ch.index();
-            if self.chan_epoch[ci] == epoch {
-                active[self.chan_pos[ci] as usize].1 += 1;
+        self.epoch = match self.epoch.checked_add(1) {
+            Some(epoch) => epoch,
+            None => {
+                // After 2^32 - 1 slots, forget every stamp once.
+                self.chan_index.fill((0, 0));
+                1
+            }
+        };
+        let epoch = self.epoch;
+        self.active.clear();
+        self.order.clear();
+        self.tuned_active.clear();
+        for &(ch, _, is_broadcast) in tuned {
+            let entry = &mut self.chan_index[ch.index()];
+            if entry.0 != epoch {
+                *entry = (epoch, self.active.len() as u32);
+                self.order.push((ch, entry.1));
+                self.active.push(ActiveChannel {
+                    broadcasters: 0,
+                    listeners: 0,
+                    start: 0,
+                    next_broadcaster: 0,
+                    next_listener: 0,
+                    winner: NO_WINNER,
+                });
+            }
+            self.tuned_active.push(entry.1);
+            let a = &mut self.active[entry.1 as usize];
+            if is_broadcast {
+                a.broadcasters += 1;
             } else {
-                self.chan_epoch[ci] = epoch;
-                self.chan_pos[ci] = active.len() as u32;
-                active.push((ch, 1));
+                a.listeners += 1;
             }
         }
         // Winner draws consume the engine stream in ascending channel
         // order, so the active set must be resolved sorted.
-        active.sort_unstable_by_key(|&(ch, _)| ch);
+        radix_sort_by_key(
+            &mut self.order,
+            &mut self.order_scratch,
+            &mut self.radix_counts,
+            total_channels,
+            |&(ch, _)| ch.0,
+        );
         let mut offset = 0u32;
-        for &(ch, count) in active.iter() {
-            self.chan_pos[ch.index()] = offset;
-            offset += count;
+        for &(_, at) in &self.order {
+            let a = &mut self.active[at as usize];
+            a.start = offset;
+            a.next_broadcaster = offset;
+            a.next_listener = offset + a.broadcasters;
+            offset += a.broadcasters + a.listeners;
         }
-        tuned.resize(unsorted.len(), (GlobalChannel(0), 0, false));
-        for &entry in unsorted.iter() {
-            let ci = entry.0.index();
-            let at = self.chan_pos[ci];
-            tuned[at as usize] = entry;
-            self.chan_pos[ci] = at + 1;
+        self.grouped.clear();
+        self.grouped.resize(tuned.len(), NodeId(0));
+        for (&(_, node, is_broadcast), &at) in tuned.iter().zip(&self.tuned_active) {
+            let a = &mut self.active[at as usize];
+            let next = if is_broadcast {
+                &mut a.next_broadcaster
+            } else {
+                &mut a.next_listener
+            };
+            self.grouped[*next as usize] = NodeId(node as u32);
+            *next += 1;
+        }
+    }
+
+    /// A spare record of at least class `want`, else the largest one
+    /// below it, else a new one.
+    fn take_record(&mut self, want: usize) -> ChannelActivity {
+        let classes = self.spare_records.len();
+        let found = (want..classes)
+            .chain((0..want.min(classes)).rev())
+            .find(|&class| !self.spare_records[class].is_empty());
+        if let Some(class) = found {
+            return self.spare_records[class].pop().expect("non-empty class");
+        }
+        // More channels than records: double the stock, as a Vec grows,
+        // so a new high-water mark of active channels rarely allocates.
+        let more = self.records_made.max(1);
+        self.records_made += more;
+        self.spare_class(1)
+            .extend((1..more).map(|_| ChannelActivity {
+                broadcasters: Vec::with_capacity(1),
+                listeners: Vec::with_capacity(1),
+                ..empty_channel_record()
+            }));
+        empty_channel_record()
+    }
+
+    fn spare_class(&mut self, class: usize) -> &mut Vec<ChannelActivity> {
+        if self.spare_records.len() <= class {
+            self.spare_records.resize_with(class + 1, Vec::new);
+        }
+        &mut self.spare_records[class]
+    }
+
+    fn retire_record(&mut self, record: ChannelActivity) {
+        self.spare_class(record_class(&record)).push(record);
+    }
+
+    /// Rebuilds `channels` as this slot's records, one per active
+    /// channel in ascending channel order.
+    ///
+    /// Records are reused in place when their capacity fits the group
+    /// and is at most 4× too large; otherwise they are swapped with a
+    /// spare record of the right capacity class. Large records (busy
+    /// shared channels) therefore stay available to large groups
+    /// instead of drifting to one-node groups, and recycling stops
+    /// allocating once every class holds enough records.
+    fn fill_records(&mut self, channels: &mut Vec<ChannelActivity>) {
+        while channels.len() > self.order.len() {
+            let record = channels.pop().expect("longer than order");
+            self.retire_record(record);
+        }
+        for i in 0..self.order.len() {
+            let (channel, at) = self.order[i];
+            let a = self.active[at as usize];
+            let size = (a.broadcasters.max(a.listeners) as usize).next_power_of_two();
+            let want = size.trailing_zeros() as usize + 1;
+            if i == channels.len() {
+                let record = self.take_record(want);
+                channels.push(record);
+            } else {
+                let have = record_class(&channels[i]);
+                if have < want || have > want + 2 {
+                    let record = self.take_record(want);
+                    let old = std::mem::replace(&mut channels[i], record);
+                    self.retire_record(old);
+                }
+            }
+            let start = a.start as usize;
+            let mid = start + a.broadcasters as usize;
+            let end = mid + a.listeners as usize;
+            let record = &mut channels[i];
+            record.channel = channel;
+            record.winner = (a.winner != NO_WINNER).then_some(NodeId(a.winner));
+            // Most groups hold one or two nodes: a push loop beats a
+            // memcpy call there.
+            for (side, nodes) in [
+                (&mut record.broadcasters, &self.grouped[start..mid]),
+                (&mut record.listeners, &self.grouped[mid..end]),
+            ] {
+                side.clear();
+                side.reserve_exact(size);
+                for &node in nodes {
+                    side.push(node);
+                }
+            }
         }
     }
 }
@@ -252,89 +473,43 @@ impl<M: Clone> Medium<M> for OracleSingleHop {
         events: &mut [Option<Event<M>>],
         activity: &mut SlotActivity,
     ) {
-        // Retire last slot's channel records to their per-channel pool
-        // slots so each channel's vectors keep their own capacity.
-        if self.pool.len() < inputs.total_channels {
-            self.pool
-                .resize_with(inputs.total_channels, empty_channel_record);
-        }
-        for act in activity.channels.drain(..) {
-            let idx = act.channel.index();
-            self.pool[idx] = act;
-        }
-
-        self.sort_tuned_by_channel(inputs.slot, inputs.total_channels, inputs.tuned);
+        self.group_by_channel(inputs.total_channels, inputs.tuned);
 
         // Resolve contention channel by channel, consuming the ENGINE
         // stream in ascending channel order.
-        self.winners.clear();
-        self.winners.resize(inputs.n, None); // per node: winning node on its channel
-        let mut start = 0;
-        while start < self.tuned.len() {
-            let channel = self.tuned[start].0;
-            let mut end = start;
-            while end < self.tuned.len() && self.tuned[end].0 == channel {
-                end += 1;
+        for &(_, at) in &self.order {
+            let a = &mut self.active[at as usize];
+            if a.broadcasters > 0 {
+                let pick = self.engine_rng.gen_range(0..a.broadcasters as usize);
+                a.winner = self.grouped[a.start as usize + pick].0;
             }
-            let mut act =
-                std::mem::replace(&mut self.pool[channel.index()], empty_channel_record());
-            act.channel = channel;
-            act.broadcasters.clear();
-            act.listeners.clear();
-            let group = &self.tuned[start..end];
-            for &(_, node, is_broadcast) in group {
-                if is_broadcast {
-                    act.broadcasters.push(NodeId(node as u32));
-                } else {
-                    act.listeners.push(NodeId(node as u32));
-                }
-            }
-            let winner = if act.broadcasters.is_empty() {
-                None
-            } else {
-                let pick = self.engine_rng.gen_range(0..act.broadcasters.len());
-                Some(act.broadcasters[pick].index())
-            };
-            act.winner = winner.map(|i| NodeId(i as u32));
-            for &(_, node, _) in group {
-                self.winners[node] = winner;
-            }
-            activity.channels.push(act);
-            start = end;
         }
 
         // Translate winners into per-node events (ascending node order,
         // so message clones happen in the same order as the pre-medium
         // engine's Phase D).
-        for &(_, i, is_broadcast) in inputs.tuned {
-            events[i] = Some(if is_broadcast {
-                match self.winners[i] {
-                    Some(w) if w == i => Event::Delivered,
-                    Some(w) => {
-                        let Action::Broadcast(_, msg) = &inputs.actions[w] else {
-                            unreachable!("winner must have broadcast")
-                        };
-                        Event::Lost {
-                            winner: NodeId(w as u32),
-                            msg: msg.clone(),
-                        }
-                    }
-                    None => unreachable!("a broadcaster's channel always has a winner"),
-                }
+        for (&(_, i, is_broadcast), &at) in inputs.tuned.iter().zip(&self.tuned_active) {
+            let w = self.active[at as usize].winner;
+            events[i] = Some(if w == NO_WINNER {
+                debug_assert!(!is_broadcast, "a broadcaster's channel always has a winner");
+                Event::Silence
+            } else if is_broadcast && w as usize == i {
+                Event::Delivered
             } else {
-                match self.winners[i] {
-                    Some(w) => {
-                        let Action::Broadcast(_, msg) = &inputs.actions[w] else {
-                            unreachable!("winner must have broadcast")
-                        };
-                        Event::Received {
-                            from: NodeId(w as u32),
-                            msg: msg.clone(),
-                        }
-                    }
-                    None => Event::Silence,
+                let Action::Broadcast(_, msg) = &inputs.actions[w as usize] else {
+                    unreachable!("winner must have broadcast")
+                };
+                let (from, msg) = (NodeId(w), msg.clone());
+                if is_broadcast {
+                    Event::Lost { winner: from, msg }
+                } else {
+                    Event::Received { from, msg }
                 }
             });
+        }
+
+        if inputs.records {
+            self.fill_records(&mut activity.channels);
         }
     }
 
@@ -365,9 +540,6 @@ pub struct OracleMultihop {
     rng: SimRng,
     /// Per node: `(channel, is_broadcast)` if tuned this slot.
     node_tuned: Vec<Option<(GlobalChannel, bool)>>,
-    /// Scratch: `tuned` re-sorted by `(channel, node)` for the
-    /// activity records.
-    by_channel: Vec<(GlobalChannel, usize, bool)>,
     /// Scratch: a listener's transmitting neighbors on its channel.
     senders: Vec<usize>,
 }
@@ -383,7 +555,6 @@ impl OracleMultihop {
             inner: OracleSingleHop::new(),
             rng: derive_rng(0, streams::ENGINE),
             node_tuned: Vec::new(),
-            by_channel: Vec::new(),
             senders: Vec::new(),
         }
     }
@@ -446,32 +617,14 @@ impl<M: Clone> Medium<M> for OracleMultihop {
             });
         }
 
-        // Physical-layer record: who was tuned where. Winners are
-        // per-receiver in this medium, so channel records carry none
-        // (`guaranteed_winner: false`).
-        activity.channels.clear();
-        self.by_channel.clear();
-        self.by_channel.extend_from_slice(inputs.tuned);
-        self.by_channel
-            .sort_unstable_by_key(|&(ch, node, _)| (ch, node));
-        let mut start = 0;
-        while start < self.by_channel.len() {
-            let channel = self.by_channel[start].0;
-            let mut end = start;
-            while end < self.by_channel.len() && self.by_channel[end].0 == channel {
-                end += 1;
-            }
-            let mut act = empty_channel_record();
-            act.channel = channel;
-            for &(_, node, is_broadcast) in &self.by_channel[start..end] {
-                if is_broadcast {
-                    act.broadcasters.push(NodeId(node as u32));
-                } else {
-                    act.listeners.push(NodeId(node as u32));
-                }
-            }
-            activity.channels.push(act);
-            start = end;
+        // Physical-layer record: who was tuned where, grouped as the
+        // single-hop oracle groups it. Winners are per-receiver in this
+        // medium, so channel records carry none (`guaranteed_winner:
+        // false`).
+        if inputs.records {
+            self.inner
+                .group_by_channel(inputs.total_channels, inputs.tuned);
+            self.inner.fill_records(&mut activity.channels);
         }
     }
 
@@ -754,6 +907,63 @@ mod tests {
             action,
             heard: Vec::new(),
         }
+    }
+
+    #[test]
+    fn radix_sort_is_a_stable_sort_by_key() {
+        let mut rng = derive_rng(7, 0);
+        let (mut scratch, mut counts) = (Vec::new(), Vec::new());
+        for bound in [1usize, 2, 3, 255, 256, 257, 2049, 24_578, 1 << 20, 1 << 31] {
+            for len in [0usize, 1, 2, 7, 100, 3000] {
+                let mut items: Vec<(u32, usize)> = (0..len)
+                    .map(|i| (rng.gen_range(0..bound) as u32, i))
+                    .collect();
+                let mut expected = items.clone();
+                expected.sort_by_key(|&(key, _)| key);
+                radix_sort_by_key(&mut items, &mut scratch, &mut counts, bound, |&(key, _)| {
+                    key
+                });
+                assert_eq!(items, expected, "bound {bound}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_epoch_wraparound_forgets_stale_stamps() {
+        // Two listeners, one broadcaster, alternating channels: a stale
+        // stamp surviving the wrap would merge the two slots' groups.
+        let actions = vec![
+            Action::Broadcast(LocalChannel(0), 5u8),
+            Action::Listen(LocalChannel(0)),
+            Action::Listen(LocalChannel(0)),
+        ];
+        let resolve_four = |oracle: &mut OracleSingleHop| {
+            let mut out = Vec::new();
+            for slot in 0..4u64 {
+                let ch = GlobalChannel((slot % 2) as u32);
+                let tuned = [(ch, 0, true), (ch, 1, false), (GlobalChannel(1), 2, false)];
+                let mut events = vec![None; 3];
+                let mut activity = SlotActivity::default();
+                let inputs = SlotInputs {
+                    slot,
+                    n: 3,
+                    total_channels: 2,
+                    actions: &actions,
+                    tuned: &tuned,
+                    records: true,
+                };
+                Medium::resolve(oracle, &inputs, &mut events, &mut activity);
+                out.push((events, activity));
+            }
+            out
+        };
+        let mut wrapping = OracleSingleHop::new();
+        wrapping.epoch = u32::MAX - 1;
+        assert_eq!(
+            resolve_four(&mut wrapping),
+            resolve_four(&mut OracleSingleHop::new())
+        );
+        assert_eq!(wrapping.epoch, 3, "the epoch restarted after the wrap");
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! warm-up period long enough for every scratch buffer and recycled
 //! [`ChannelActivity`] record to reach its high-water capacity, stepping
 //! the network must perform zero heap allocations — with and without an
-//! interference model installed.
+//! interference model installed, on the worker pool, and record-free
+//! ([`Network::step_unrecorded`]) on a channel space far larger than
+//! the network.
 //!
 //! This file intentionally contains a single `#[test]` so no concurrent
 //! test can allocate while the counter is being read.
@@ -154,5 +156,18 @@ fn step_is_allocation_free_in_steady_state() {
             par_net.step();
         },
         "parallel (2 workers)",
+    );
+
+    // Record-free stepping where C >> n: shared_core(1024, 8, 2) has
+    // C = 6146 channels, so any per-slot cost or buffer proportional to
+    // the channel space would show here.
+    let n = 1024;
+    let model = StaticChannels::local(shared_core(n, 8, 2).unwrap(), 14);
+    let mut lean_net = Network::new(model, hopper_protos(n), 14).unwrap();
+    assert_steady_state_alloc_free(
+        || {
+            lean_net.step_unrecorded();
+        },
+        "record-free, n = 1024",
     );
 }

@@ -279,3 +279,84 @@ proptest! {
         }
     }
 }
+
+/// A record-free slot has no record to check, so it must never pass as
+/// a checked, empty slot: `last_activity` is `None` and
+/// `check_conformance` reports exactly one `Unrecorded` violation for
+/// it — before the first slot too — while `step()` slots keep their
+/// records and their checks.
+#[test]
+fn record_free_slots_are_reported_unrecorded() {
+    let model = StaticChannels::local(shared_core(8, 4, 2).expect("valid shape"), 3);
+    let mut net = Network::new(model, hoppers(8), 3).expect("construct");
+    let unrecorded = |net: &Network<u8, Hopper, StaticChannels>, slot: u64| {
+        assert!(net.last_activity().is_none(), "slot {slot} has no record");
+        let violations = net.check_conformance();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].rule, Rule::Unrecorded);
+        assert_eq!(violations[0].slot, slot);
+    };
+    unrecorded(&net, 0);
+
+    let recorded = net.step().clone();
+    assert_eq!(net.last_activity(), Some(&recorded));
+    assert_eq!(net.check_conformance(), vec![]);
+
+    net.step_unrecorded();
+    unrecorded(&net, 1);
+
+    let recorded = net.step().clone();
+    assert_eq!(recorded.slot, 2);
+    assert!(
+        recorded.transmissions() > 0,
+        "the source broadcasts every slot"
+    );
+    assert_eq!(net.last_activity(), Some(&recorded));
+    assert_eq!(net.check_conformance(), vec![]);
+
+    net.run_slots(3);
+    unrecorded(&net, 5);
+}
+
+/// With the in-step validator compiled in, record-free stepping still
+/// asks the medium for records and checks them: a medium that writes a
+/// bogus record whenever records are requested aborts the slot.
+#[cfg(feature = "validate")]
+#[test]
+#[should_panic(expected = "model-conformance violation")]
+fn validate_checks_record_free_slots_too() {
+    use crn_sim::{ChannelActivity, Medium, MediumProfile, SlotInputs};
+
+    struct WinnerFromNowhere;
+
+    impl Medium<u8> for WinnerFromNowhere {
+        fn reseed(&mut self, _master: u64) {}
+
+        fn resolve(
+            &mut self,
+            inputs: &SlotInputs<'_, u8>,
+            events: &mut [Option<Event<u8>>],
+            activity: &mut SlotActivity,
+        ) {
+            for &(_, node, _) in inputs.tuned {
+                events[node] = Some(Event::Silence);
+            }
+            if inputs.records {
+                activity.channels = vec![ChannelActivity {
+                    channel: GlobalChannel(0),
+                    broadcasters: Vec::new(),
+                    winner: Some(NodeId(0)),
+                    listeners: Vec::new(),
+                }];
+            }
+        }
+
+        fn profile(&self) -> MediumProfile {
+            MediumProfile::oracle()
+        }
+    }
+
+    let model = StaticChannels::global(full_overlap(2, 1).expect("valid shape"));
+    let mut net = Network::with_medium(model, hoppers(2), 0, WinnerFromNowhere).expect("construct");
+    net.step_unrecorded();
+}
