@@ -23,7 +23,10 @@
 #      checked against the model contract end to end
 #   8. rustdoc across the workspace with warnings denied (broken
 #      intra-doc links are errors)
-#   9. the benchmark package (perfbench/, its own workspace) built and
+#   9. every experiment at full effort (~4 s), diffed against the
+#      recorded tables in results/experiments-full.md; the
+#      "[<id> completed in …]" timing lines are ignored
+#  10. the benchmark package (perfbench/, its own workspace) built and
 #      its transparency test run: the benchmark reads the engine only
 #      through its public API (Medium::resolve filling channel records,
 #      Network::step, set_parallelism, ParConfig, WorkerPool), so an
@@ -64,6 +67,16 @@ cargo run --release -q -p crn-bench --features validate --bin experiments -- all
 
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+echo "==> experiments all (full effort) against results/experiments-full.md"
+tmp="$(mktemp)"
+trap 'rm -f "$tmp"' EXIT
+cargo run --release -q -p crn-bench --bin experiments -- all --out "$tmp" > /dev/null
+strip_footers() { grep -Ev '^\[.* completed in .* effort\]$' "$1"; }
+if ! diff <(strip_footers results/experiments-full.md) <(strip_footers "$tmp"); then
+    echo "the tables differ from results/experiments-full.md (diff above)" >&2
+    exit 1
+fi
 
 echo "==> perfbench: build and transparency test"
 (cd perfbench && cargo test --release -q)

@@ -15,15 +15,16 @@
 //! feedback for the winner, and the winning message delivered to
 //! everyone else.
 //!
-//! The epoch/budget arithmetic ([`epoch_len`], [`recommended_rounds`])
-//! is canonical in [`crn_sim::medium`] — the in-engine
-//! [`crn_sim::medium::PhysicalDecay`] medium shares it — and re-exported
-//! here.
+//! The episode itself ([`crn_sim::medium::decay_episode`]) and its
+//! epoch/budget arithmetic ([`epoch_len`], [`recommended_rounds`]) are
+//! canonical in [`crn_sim::medium`] — the in-engine
+//! [`crn_sim::medium::PhysicalDecay`] medium runs the same loop — and
+//! this module adds the standalone, argument-checked entry point and
+//! the F10 cost series.
 
-use crate::radio::{resolve_round, RoundOutcome};
+use crn_sim::medium::decay_episode;
 pub use crn_sim::medium::{epoch_len, recommended_rounds};
 use crn_sim::{SimError, SimRng};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// The result of resolving one contention episode.
@@ -72,24 +73,41 @@ pub fn resolve_contention(
             reason: format!("m = {m} exceeds the population bound n_max = {n_max}"),
         });
     }
-    let epoch = epoch_len(n_max);
-    let mut transmitting = vec![false; m];
-    for round in 0..max_rounds {
-        let j = (round % epoch as u64) as i32;
-        let p = 0.5f64.powi(j).min(1.0);
-        for t in transmitting.iter_mut() {
-            *t = rng.gen_bool(p);
+    Ok(match decay_episode(m, epoch_len(n_max), max_rounds, rng) {
+        (Some(winner), rounds) => Some(ContentionResult { winner, rounds }),
+        (None, _) => None,
+    })
+}
+
+/// Mean physical rounds per abstract slot for `m` contenders, over
+/// `trials` seeded episodes of [`recommended_rounds`]`(n_max)` rounds
+/// at most — the series behind experiment F10.
+///
+/// Returns `NaN` when no episode completes (including `m == 0`).
+///
+/// # Examples
+///
+/// ```
+/// use crn_backoff::decay::mean_rounds_per_slot;
+/// assert_eq!(mean_rounds_per_slot(1, 8, 10, 0), 1.0);
+/// assert!(mean_rounds_per_slot(0, 8, 10, 0).is_nan());
+/// ```
+pub fn mean_rounds_per_slot(m: usize, n_max: usize, trials: usize, seed: u64) -> f64 {
+    use rand::SeedableRng;
+    let mut total = 0u64;
+    let mut done = 0usize;
+    for t in 0..trials {
+        let mut rng = SimRng::seed_from_u64(seed.wrapping_add(t as u64));
+        if let Ok(Some(r)) = resolve_contention(m, n_max, recommended_rounds(n_max), &mut rng) {
+            total += r.rounds;
+            done += 1;
         }
-        if let RoundOutcome::Success(winner) = resolve_round(&transmitting) {
-            return Ok(Some(ContentionResult {
-                winner,
-                rounds: round + 1,
-            }));
-        }
-        // Collision or silence: receivers heard nothing; every station
-        // stays active and the epoch continues.
     }
-    Ok(None)
+    if done == 0 {
+        f64::NAN
+    } else {
+        total as f64 / done as f64
+    }
 }
 
 #[cfg(test)]
@@ -193,6 +211,17 @@ mod tests {
             matches!(&err, SimError::InvalidParams { reason } if reason.contains("exceeds the population bound")),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn mean_rounds_stay_polylog() {
+        let small = mean_rounds_per_slot(2, 256, 200, 1);
+        let large = mean_rounds_per_slot(200, 256, 200, 2);
+        assert!(small.is_finite() && large.is_finite());
+        // 100x contenders, same n_max: both bounded by the same
+        // O(log² n_max) budget, and the ratio should be small.
+        assert!(large < small * 12.0, "small={small}, large={large}");
+        assert!(large < 200.0, "rounds per slot implausibly high: {large}");
     }
 
     #[test]

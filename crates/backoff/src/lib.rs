@@ -5,17 +5,16 @@
 //! an abstraction the paper justifies in footnote 4: it can be
 //! implemented on a *standard* radio — collision-as-silence, no
 //! feedback — by exponential-decay backoff at a poly-logarithmic cost.
-//! This crate builds that substrate and measures it (experiment F10):
+//! This crate measures that substrate on its own (experiment F10):
+//! [`decay`] resolves `m ≤ n` stations in `O(log² n)` rounds w.h.p.,
+//! with a uniform winner by symmetry, and reports the mean cost of one
+//! abstract slot.
 //!
-//! - [`radio`] — the standard single-channel radio;
-//! - [`decay`] — the decay backoff protocol, resolving `m ≤ n` stations
-//!   in `O(log² n)` rounds w.h.p., with a uniform winner by symmetry;
-//! - [`emulation`] — one abstract slot expanded into one backoff
-//!   episode, with the delivered-payload semantics of the model.
-//!
-//! The in-engine counterpart — any `crn_sim` protocol driven over this
-//! physics — is the [`crn_sim::medium::PhysicalDecay`] medium; both
-//! draw from the dedicated `PHYSICAL` RNG stream.
+//! The decay episode itself lives in [`crn_sim::medium::decay_episode`],
+//! the one loop every decay-backoff path runs. Its in-engine use — any
+//! `crn_sim` protocol, COGCAST included, driven over this physics — is
+//! the [`crn_sim::medium::PhysicalDecay`] medium, which draws from the
+//! dedicated `PHYSICAL` RNG stream.
 //!
 //! ```
 //! use crn_backoff::decay::{recommended_rounds, resolve_contention};
@@ -32,11 +31,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod decay;
-pub mod emulation;
-pub mod radio;
-pub mod stack;
 
-pub use decay::{epoch_len, recommended_rounds, resolve_contention, ContentionResult};
-pub use emulation::{emulate_slot, mean_rounds_per_slot, EmulatedSlot};
-pub use radio::{resolve_round, RoundOutcome};
-pub use stack::{run_physical_broadcast, PhysicalRun};
+pub use decay::{
+    epoch_len, mean_rounds_per_slot, recommended_rounds, resolve_contention, ContentionResult,
+};

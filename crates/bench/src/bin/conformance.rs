@@ -10,10 +10,11 @@
 //!    churn level; every slot of every run must satisfy the Section 2
 //!    contract and the full trace must survive an independent
 //!    ENGINE-stream winner replay.
-//! 2. **Oracle vs physical stack** — the same shared-core workload run
-//!    on the abstract collision oracle and on the decay-backoff radio
-//!    (footnote 4): both must complete, and abstract-slot counts must
-//!    agree within a band (extending experiment F14).
+//! 2. **Oracle vs physical stack** — the same shared-core COGCAST
+//!    workload run on the abstract collision oracle and on the
+//!    decay-backoff radio ([`crn_sim::PhysicalDecay`], footnote 4): both
+//!    must complete, and abstract-slot counts must agree within a band
+//!    (extending experiment F14).
 //! 3. **Oracle vs multihop engine** — the same workload on the
 //!    single-hop oracle and the multihop engine over a complete
 //!    topology: both must complete within their budgets with agreeing
@@ -29,12 +30,12 @@
 //! `--quick` selects the CI profile (still ≥ 100 workloads per part,
 //! and still sweeping the whole medium axis).
 
-use crn_backoff::stack::{run_physical_broadcast, shared_core_sets};
+use crn_bench::args::Args;
 use crn_core::bounds::{cogcast_slots, DEFAULT_ALPHA};
-use crn_core::cogcast::{run_broadcast, CogCast};
+use crn_core::cogcast::{run_broadcast, run_broadcast_on, CogCast};
 use crn_jamming::{JammerStrategy, UniformJammer};
 use crn_multihop::{run_flood, Topology};
-use crn_sim::assignment::{shared_core, ChannelAssignment, OverlapPattern};
+use crn_sim::assignment::{shared_core, OverlapPattern};
 use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
 use crn_sim::conformance::{replay_winners, report, Violation};
 use crn_sim::rng::{derive_rng, streams};
@@ -272,19 +273,7 @@ fn oracle_vs_physical(workloads: u64, trials: u64) -> usize {
         let n = rng.gen_range(6..=24usize);
         let c = rng.gen_range(3..=8usize);
         let k = rng.gen_range(1..c);
-        let sets = shared_core_sets(n, c, k);
-        let total = sets
-            .iter()
-            .flatten()
-            .map(|&g| g as usize + 1)
-            .max()
-            .expect("non-empty sets");
-        let g_sets = sets
-            .iter()
-            .map(|s| s.iter().map(|&g| crn_sim::GlobalChannel(g)).collect())
-            .collect();
-        let assignment =
-            ChannelAssignment::from_sets(g_sets, total, k).expect("shared-core sets are valid");
+        let assignment = shared_core(n, c, k).expect("valid shape");
 
         let mut oracle_sum = 0u64;
         let mut physical_sum = 0u64;
@@ -295,8 +284,10 @@ fn oracle_vs_physical(workloads: u64, trials: u64) -> usize {
             let oracle = run_broadcast(model, trial_seed, ORACLE_BUDGET)
                 .expect("construct")
                 .slots;
-            let physical =
-                run_physical_broadcast(&sets, trial_seed, PHYSICAL_BUDGET).expect("valid params");
+            let model = StaticChannels::local(assignment.clone(), trial_seed);
+            let (physical, _) =
+                run_broadcast_on(model, trial_seed, PHYSICAL_BUDGET, PhysicalDecay::new())
+                    .expect("construct");
             match (oracle, physical.slots) {
                 (Some(o), Some(p)) => {
                     oracle_sum += o;
@@ -470,42 +461,30 @@ fn medium_sweep(workloads: u64, media: &[&str]) -> usize {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let args = match Args::parse(
+        std::env::args().skip(1),
+        &["--quick"],
+        &["--threads", "--medium"],
+    ) {
+        Ok(args) => match args.positional() {
+            [] => args,
+            [stray, ..] => return usage_error(&format!("unexpected argument {stray}")),
+        },
+        Err(e) => return usage_error(&e),
+    };
+    let quick = args.has("--quick");
     // Validate the worker-pool width up front (--threads beats
     // CRN_THREADS): the sweep deliberately steps its networks through
     // the parallel phases when the pool has more than one worker.
-    let threads = match args.iter().position(|a| a == "--threads") {
-        Some(i) => match args.get(i + 1) {
-            Some(v) => Some(v.clone()),
-            None => {
-                eprintln!("--threads needs a value");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    if let Err(e) = crn_sim::pool::init_from_flag(threads.as_deref()) {
+    if let Err(e) = crn_sim::pool::init_from_flag(args.value("--threads")) {
         eprintln!("{e}");
         return ExitCode::FAILURE;
     }
-    let media: Vec<&str> = match args
-        .iter()
-        .position(|a| a == "--medium")
-        .map(|i| args.get(i + 1))
-    {
-        Some(Some(m)) if MEDIA.contains(&m.as_str()) => vec![MEDIA
-            .iter()
-            .copied()
-            .find(|&x| x == m.as_str())
-            .expect("checked")],
-        Some(got) => {
-            eprintln!(
-                "--medium needs one of {MEDIA:?}, got {:?}",
-                got.map(String::as_str).unwrap_or("<missing>")
-            );
-            return ExitCode::FAILURE;
-        }
+    let media: Vec<&str> = match args.value("--medium") {
+        Some(m) => match MEDIA.iter().find(|&&x| x == m) {
+            Some(&medium) => vec![medium],
+            None => return usage_error(&format!("--medium needs one of {MEDIA:?}, got {m:?}")),
+        },
         None => MEDIA.to_vec(),
     };
     // The CI (`--quick`) profile still meets the ≥ 100-workloads-per-part
@@ -537,4 +516,14 @@ fn main() -> ExitCode {
         eprintln!("conformance: {failures} divergent workloads");
         ExitCode::FAILURE
     }
+}
+
+/// Reports a bad command line and returns the failing exit code.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("error: {message}");
+    eprintln!(
+        "usage: conformance [--quick] [--threads N] [--medium {}]",
+        MEDIA.join("|")
+    );
+    ExitCode::FAILURE
 }

@@ -8,68 +8,68 @@
 //! experiments --list
 //! ```
 
-use crn_bench::effort::{par_trials_static_chunked, par_trials_with_workers};
+use crn_bench::args::Args;
 use crn_bench::{run_experiment, Effort, EXPERIMENT_IDS};
 use std::io::Write as _;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
+    let args = match Args::parse(
+        std::env::args().skip(1),
+        &["--quick", "--list", "--help", "-h"],
+        &["--out", "--csv", "--time-json", "--threads"],
+    ) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("error: {e}\nsee `experiments --help` for usage");
+            return ExitCode::FAILURE;
+        }
+    };
+    if args.has("--help") || args.has("-h") || args == Args::default() {
         print_help();
         return ExitCode::SUCCESS;
     }
-    if args.iter().any(|a| a == "--list") {
+    if args.has("--list") {
         for id in EXPERIMENT_IDS {
             println!("{id}");
         }
         return ExitCode::SUCCESS;
     }
-    let effort = if args.iter().any(|a| a == "--quick") {
+    let effort = if args.has("--quick") {
         Effort::Quick
     } else {
         Effort::Full
     };
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let csv_dir = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let time_json = args
-        .iter()
-        .position(|a| a == "--time-json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let out_path = args.value("--out");
+    let csv_dir = args.value("--csv");
+    let time_json = args.value("--time-json");
     // Size the worker pool before any experiment touches it; a bad
     // --threads or CRN_THREADS is a startup error, never a silent
     // fall-back to the default width.
-    let threads = match args.iter().position(|a| a == "--threads") {
-        Some(i) => match args.get(i + 1) {
-            Some(v) => Some(v.clone()),
-            None => {
-                eprintln!("--threads needs a value");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    if let Err(e) = crn_sim::pool::init_from_flag(threads.as_deref()) {
+    if let Err(e) = crn_sim::pool::init_from_flag(args.value("--threads")) {
         eprintln!("{e}");
         return ExitCode::FAILURE;
     }
-    if let Some(dir) = &csv_dir {
+    if let Some(dir) = csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {dir}: {e}");
             return ExitCode::FAILURE;
         }
     }
-    let mut out_file = match &out_path {
+    let mut ids: Vec<String> = args.positional().iter().map(|a| a.to_lowercase()).collect();
+    if ids.iter().any(|a| a == "all") {
+        ids = EXPERIMENT_IDS.iter().map(|s| s.to_string()).collect();
+    }
+    if ids.is_empty() {
+        eprintln!("no experiments selected; try `experiments all --quick`");
+        return ExitCode::FAILURE;
+    }
+    if let Some(id) = ids.iter().find(|id| !EXPERIMENT_IDS.contains(&id.as_str())) {
+        eprintln!("unknown experiment id: {id} (see --list)");
+        return ExitCode::FAILURE;
+    }
+    let mut out_file = match out_path {
         Some(path) => match std::fs::File::create(path) {
             Ok(f) => Some(f),
             Err(e) => {
@@ -79,55 +79,30 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    let skip_values: Vec<&String> = out_path
-        .iter()
-        .chain(csv_dir.iter())
-        .chain(time_json.iter())
-        .chain(threads.iter())
-        .collect();
-    let mut ids: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--") && !skip_values.contains(a))
-        .map(|a| a.to_lowercase())
-        .collect();
-    if ids.iter().any(|a| a == "all") {
-        ids = EXPERIMENT_IDS.iter().map(|s| s.to_string()).collect();
-    }
-    if ids.is_empty() {
-        eprintln!("no experiments selected; try `experiments all --quick`");
-        return ExitCode::FAILURE;
-    }
     let suite_start = Instant::now();
     let mut timings: Vec<(String, f64)> = Vec::new();
     for id in &ids {
         let start = std::time::Instant::now();
-        match run_experiment(id, effort) {
-            Some(artifact) => {
-                timings.push((id.clone(), start.elapsed().as_secs_f64() * 1000.0));
-                let footer = format!(
-                    "[{} completed in {:.1}s at {:?} effort]\n",
-                    id,
-                    start.elapsed().as_secs_f64(),
-                    effort
-                );
-                println!("{artifact}");
-                println!("{footer}");
-                if let Some(f) = out_file.as_mut() {
-                    if let Err(e) = writeln!(f, "{artifact}\n{footer}") {
-                        eprintln!("write failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                if let Some(dir) = &csv_dir {
-                    let path = format!("{dir}/{id}.csv");
-                    if let Err(e) = std::fs::write(&path, artifact.to_csv()) {
-                        eprintln!("cannot write {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
+        let artifact = run_experiment(id, effort).expect("ids were checked above");
+        timings.push((id.clone(), start.elapsed().as_secs_f64() * 1000.0));
+        let footer = format!(
+            "[{} completed in {:.1}s at {:?} effort]\n",
+            id,
+            start.elapsed().as_secs_f64(),
+            effort
+        );
+        println!("{artifact}");
+        println!("{footer}");
+        if let Some(f) = out_file.as_mut() {
+            if let Err(e) = writeln!(f, "{artifact}\n{footer}") {
+                eprintln!("write failed: {e}");
+                return ExitCode::FAILURE;
             }
-            None => {
-                eprintln!("unknown experiment id: {id} (see --list)");
+        }
+        if let Some(dir) = csv_dir {
+            let path = format!("{dir}/{id}.csv");
+            if let Err(e) = std::fs::write(&path, artifact.to_csv()) {
+                eprintln!("cannot write {path}: {e}");
                 return ExitCode::FAILURE;
             }
         }
@@ -137,7 +112,7 @@ fn main() -> ExitCode {
         eprintln!("results written to {path}");
     }
     if let Some(path) = time_json {
-        if let Err(e) = std::fs::write(&path, time_report(effort, &timings, suite_wall)) {
+        if let Err(e) = std::fs::write(path, time_report(effort, &timings, suite_wall)) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -146,79 +121,23 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// End-to-end suite timings recorded at commit 769a573, before the
-/// work-stealing scheduler, the owned `SimRng` dispatch and the
-/// active-channel slot resolution landed. Quick mode then swept a grid
-/// *prefix* (small points only); it now sweeps first/middle/last, so
-/// the current quick suite covers the large grid points the old one
-/// skipped — wall-clock comparisons below are same-command, not
-/// same-work.
-const BASELINE_COMMIT: &str = "769a573";
-const BASELINE_TOTAL_S: f64 = 0.772;
-const BASELINE_MS: [(&str, f64); 25] = [
-    ("t1", 33.0),
-    ("t2", 126.0),
-    ("t3", 3.0),
-    ("t4", 3.0),
-    ("t5", 2.0),
-    ("t6", 272.0),
-    ("f1", 3.0),
-    ("f2", 3.0),
-    ("f3", 15.0),
-    ("f4", 3.0),
-    ("f5", 12.0),
-    ("f6", 21.0),
-    ("f7", 10.0),
-    ("f8", 5.0),
-    ("f9", 5.0),
-    ("f10", 2.0),
-    ("f11", 4.0),
-    ("f12", 5.0),
-    ("f13", 3.0),
-    ("f14", 3.0),
-    ("f15", 3.0),
-    ("a1", 50.0),
-    ("a2", 4.0),
-    ("a3", 147.0),
-    ("a4", 55.0),
-];
-
-/// Measures the scheduler head-to-head on a skewed sleep workload (the
-/// adversarial case for static chunking; sleep-based so the comparison
-/// holds even on a single-core box) and renders the full
-/// `BENCH_experiments.json` payload.
+/// Renders the `BENCH_experiments.json` payload: the suite's total
+/// and per-experiment wall-clock timings.
 fn time_report(effort: Effort, timings: &[(String, f64)], total_s: f64) -> String {
-    let skewed = |seed: u64| {
-        std::thread::sleep(Duration::from_millis(if seed < 4 { 40 } else { 1 }));
-        seed
-    };
-    let t0 = Instant::now();
-    par_trials_static_chunked(16, 4, skewed);
-    let static_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    par_trials_with_workers(16, 4, skewed);
-    let stealing_s = t0.elapsed().as_secs_f64();
-
     let rows: Vec<String> = timings
         .iter()
         .map(|(id, ms)| format!("    {{\"id\": \"{id}\", \"ms\": {ms:.0}}}"))
         .collect();
-    let baseline_rows: Vec<String> = BASELINE_MS
-        .iter()
-        .map(|(id, ms)| format!("      {{\"id\": \"{id}\", \"ms\": {ms:.0}}}"))
-        .collect();
     format!(
-        "{{\n  \"bench\": \"experiments_end_to_end\",\n  \"command\": \"experiments all --quick --time-json BENCH_experiments.json\",\n  \"effort\": \"{effort:?}\",\n  \"scheduler\": \"work-stealing (atomic seed counter, seed-keyed slots)\",\n  \"rng\": \"SimRng (owned xoshiro256++, stream-preserving vs. prior StdRng)\",\n  \"total_s\": {total_s:.3},\n  \"per_experiment\": [\n{}\n  ],\n  \"skewed_par_trials\": {{\n    \"workload\": \"16 trials, 4 workers; seeds 0-3 sleep 40 ms, rest 1 ms\",\n    \"static_chunked_s\": {static_s:.3},\n    \"work_stealing_s\": {stealing_s:.3},\n    \"speedup\": {:.2}\n  }},\n  \"baseline_before\": {{\n    \"commit\": \"{BASELINE_COMMIT}\",\n    \"note\": \"static-chunked scheduler, StdRng dispatch, prefix quick sweeps (smaller grid points than current quick mode)\",\n    \"total_s\": {BASELINE_TOTAL_S},\n    \"per_experiment\": [\n{}\n    ]\n  }}\n}}\n",
-        rows.join(",\n"),
-        static_s / stealing_s,
-        baseline_rows.join(",\n")
+        "{{\n  \"bench\": \"experiments_end_to_end\",\n  \"command\": \"experiments all --quick --time-json BENCH_experiments.json\",\n  \"effort\": \"{effort:?}\",\n  \"scheduler\": \"work-stealing (atomic seed counter, seed-keyed slots)\",\n  \"rng\": \"SimRng (owned xoshiro256++, stream-preserving vs. prior StdRng)\",\n  \"total_s\": {total_s:.3},\n  \"per_experiment\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
     )
 }
 
 fn print_help() {
     println!("experiments — regenerate the PODC'15 reproduction tables and figures");
     println!();
-    println!("USAGE: experiments <id>... | all [--quick]");
+    println!("USAGE: experiments <id>... | all [FLAGS]");
     println!();
     println!("ids: {}", EXPERIMENT_IDS.join(" "));
     println!();

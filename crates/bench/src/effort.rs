@@ -91,9 +91,8 @@ pub fn par_trials<T: Send>(trials: usize, f: impl Fn(u64) -> T + Sync) -> Vec<T>
 ///
 /// Safety: the index of each slot is claimed from an atomic counter by
 /// exactly one worker, which performs the only write; reads happen only
-/// after the pool's end-of-job barrier (or the scoped join, for the
-/// static-chunked baseline). The `Sync` bound is therefore sound for
-/// any `T: Send`.
+/// after the pool's end-of-job barrier. The `Sync` bound is therefore
+/// sound for any `T: Send`.
 struct TrialSlot<T>(UnsafeCell<Option<T>>);
 
 unsafe impl<T: Send> Sync for TrialSlot<T> {}
@@ -184,41 +183,6 @@ fn run_trials_on<T: Send>(
     (results, mode)
 }
 
-/// The pre-work-stealing scheduler: seeds split into contiguous static
-/// chunks, one per worker.
-///
-/// Kept (hidden) as the comparison baseline for the skewed-workload
-/// regression test and the `BENCH_experiments.json` numbers: when trial
-/// costs are skewed, the worker whose chunk holds the expensive seeds
-/// becomes the critical path while the rest go idle.
-#[doc(hidden)]
-pub fn par_trials_static_chunked<T: Send>(
-    trials: usize,
-    workers: usize,
-    f: impl Fn(u64) -> T + Sync,
-) -> Vec<T> {
-    let workers = workers.max(1).min(trials.max(1));
-    if workers <= 1 {
-        return (0..trials as u64).map(f).collect();
-    }
-    let mut results: Vec<Option<T>> = (0..trials).map(|_| None).collect();
-    let chunk = trials.div_ceil(workers);
-    std::thread::scope(|s| {
-        for (w, slice) in results.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                for (i, slot) in slice.iter_mut().enumerate() {
-                    *slot = Some(f((w * chunk + i) as u64));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("all slots filled"))
-        .collect()
-}
-
 /// Mean of `f(seed)` over `trials` seeds, where `f` yields a slot count.
 pub fn mean_slots(trials: usize, f: impl Fn(u64) -> u64 + Sync) -> f64 {
     let xs = par_trials(trials, f);
@@ -264,11 +228,6 @@ mod tests {
                 par_trials_with_workers(23, workers, f),
                 reference,
                 "results changed with {workers} workers"
-            );
-            assert_eq!(
-                par_trials_static_chunked(23, workers, f),
-                reference,
-                "static baseline diverged with {workers} workers"
             );
         }
         assert_eq!(par_trials(23, f), reference, "default worker count differs");

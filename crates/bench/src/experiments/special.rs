@@ -1,7 +1,7 @@
 //! Separation, jamming and substrate experiments: T5, F9, F10.
 
 use crate::effort::{mean_slots, Effort};
-use crn_backoff::emulation::mean_rounds_per_slot;
+use crn_backoff::mean_rounds_per_slot;
 use crn_core::cogcast::run_broadcast;
 use crn_jamming::{run_jammed_broadcast, JammerStrategy};
 use crn_rendezvous::hop_together::run_hop_together;
@@ -99,11 +99,13 @@ pub fn f10(effort: Effort) -> Series {
 }
 
 /// **F14** — the end-to-end stack substitution: COGCAST over the real
-/// decay-backoff radio vs over the abstract collision oracle. The
-/// abstract-slot counts must agree (same protocol, same workload); the
-/// physical stack additionally pays `O(log² n)` rounds per slot.
+/// decay-backoff radio ([`crn_sim::PhysicalDecay`]) vs over the
+/// abstract collision oracle. The abstract-slot counts must agree (same
+/// protocol, same workload, same per-node streams); the physical stack
+/// additionally pays `O(log² n)` rounds per slot.
 pub fn f14(effort: Effort) -> Table {
-    use crn_backoff::stack::{run_physical_broadcast, shared_core_sets};
+    use crn_core::cogcast::run_broadcast_on;
+    use crn_sim::PhysicalDecay;
     let (c, k) = (6usize, 2usize);
     let ns: &[usize] = &[8, 16, 32, 64];
     let trials = effort.trials(15);
@@ -119,30 +121,32 @@ pub fn f14(effort: Effort) -> Table {
         ],
     );
     for &n in &effort.sweep(ns) {
+        let model = |seed| StaticChannels::local(shared_core(n, c, k).expect("valid"), seed);
         let oracle = mean_slots(trials, |seed| {
-            let model = StaticChannels::local(shared_core(n, c, k).expect("valid"), seed);
-            run_broadcast(model, seed, MEASURE_BUDGET)
+            run_broadcast(model(seed), seed, MEASURE_BUDGET)
                 .expect("construct")
                 .slots
                 .expect("completes")
         });
-        let sets = shared_core_sets(n, c, k);
         let runs = crate::effort::par_trials(trials, |seed| {
-            let run = run_physical_broadcast(&sets, seed, 10_000_000).expect("valid params");
-            assert!(run.completed(), "physical n={n} seed={seed}");
-            run
+            let (run, medium) =
+                run_broadcast_on(model(seed), seed, MEASURE_BUDGET, PhysicalDecay::new())
+                    .expect("construct");
+            let slots = run
+                .slots
+                .unwrap_or_else(|| panic!("physical n={n} seed={seed}"));
+            (slots, medium)
         });
-        let phys_slots =
-            runs.iter().map(|r| r.slots.unwrap()).sum::<u64>() as f64 / runs.len() as f64;
-        let phys_rounds =
-            runs.iter().map(|r| r.physical_rounds).sum::<u64>() as f64 / runs.len() as f64;
-        let fails = runs.iter().map(|r| r.failed_episodes).sum::<u64>();
+        let mean = |f: fn(&(u64, PhysicalDecay)) -> u64| {
+            runs.iter().map(f).sum::<u64>() as f64 / runs.len() as f64
+        };
+        let fails = runs.iter().map(|(_, m)| m.failed_episodes()).sum::<u64>();
         t.push_row(vec![
             n.to_string(),
             format!("{oracle:.1}"),
-            format!("{phys_slots:.1}"),
-            runs[0].rounds_per_slot.to_string(),
-            format!("{phys_rounds:.0}"),
+            format!("{:.1}", mean(|(slots, _)| *slots)),
+            runs[0].1.rounds_per_slot().to_string(),
+            format!("{:.0}", mean(|(_, m)| m.physical_rounds())),
             fails.to_string(),
         ]);
     }
@@ -152,9 +156,8 @@ pub fn f14(effort: Effort) -> Table {
 /// **F16** — the protocol × medium matrix: COGCAST, hop-together and
 /// COGCOMP each driven over the abstract collision oracle, the multihop
 /// medium on the complete topology (which must reproduce the oracle's
-/// numbers exactly), and the real decay-backoff physical layer. The
-/// physical columns are the first cross-protocol runs on real decay —
-/// previously only the hard-wired COGCAST stack (F14) touched it.
+/// numbers exactly), and the real decay-backoff physical layer. F14
+/// sweeps the COGCAST row of the physical column over `n`.
 pub fn f16(effort: Effort) -> Table {
     use crn_core::aggregate::Count;
     use crn_core::cogcast::run_broadcast_on;

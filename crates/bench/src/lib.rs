@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod args;
 pub mod effort;
 pub mod experiments;
 

@@ -19,7 +19,8 @@ use crn_rendezvous::HopTogether;
 use crn_sim::assignment::shared_core;
 use crn_sim::channel_model::StaticChannels;
 use crn_sim::{
-    ChannelModel, Medium, Network, OracleMultihop, PhysicalDecay, Topology, TraceDigest,
+    ChannelModel, Medium, Network, NetworkBuilder, OracleMultihop, PhysicalDecay, Topology,
+    TraceDigest,
 };
 
 /// Runs `net` until `done` or `budget` slots, digesting every slot and
@@ -225,4 +226,76 @@ fn multihop_ring_trace_is_pinned() {
         digest, 0x5144_dc75_26b5_2596,
         "multihop-ring trace diverged"
     );
+}
+
+/// Runs COGCAST for `slots` slots on [`PhysicalDecay`] through
+/// [`Network::step`], conformance-checking every slot, and returns
+/// `(slots until everyone was informed, digest, physical rounds,
+/// failed episodes)`. Informed nodes keep broadcasting after the last
+/// node is informed, so the later slots are all contention.
+fn physical_trace<CM: ChannelModel>(
+    mut net: Network<(), CogCast<()>, CM, PhysicalDecay>,
+    slots: u64,
+) -> (Option<u64>, u64, u64, u64) {
+    let mut informed_at = None;
+    let (_, digest) = drive(&mut net, slots, |net| {
+        if informed_at.is_none() && net.protocols().iter().all(|p| p.is_informed()) {
+            informed_at = Some(net.slot());
+        }
+        false
+    });
+    let medium = net.medium();
+    (
+        informed_at,
+        digest,
+        medium.physical_rounds(),
+        medium.failed_episodes(),
+    )
+}
+
+/// Pins the physical medium's full `step()` trace on a contended
+/// workload: 64 COGCAST hoppers on `shared_core(64, 4, 1)`, where a
+/// quarter of the network meets on the one core channel every slot.
+/// Any change to how the medium groups, orders, records or resolves a
+/// slot — or to how it consumes the PHYSICAL stream — flips a constant.
+#[test]
+fn physical_trace_is_pinned() {
+    let n = 64;
+    let model = StaticChannels::local(shared_core(n, 4, 1).expect("valid shape"), 3);
+    let net =
+        Network::with_medium(model, cogcast_protos(n), 3, PhysicalDecay::new()).expect("construct");
+    let (informed_at, digest, rounds, failed) = physical_trace(net, 200);
+    assert_eq!(informed_at, Some(12), "physical run length diverged");
+    assert_eq!(digest, 0x5f3b_daca_a6a1_c008, "physical trace diverged");
+    assert_eq!(rounds, 200 * 400, "physical round bill diverged");
+    assert_eq!(failed, 0, "failed episode count diverged");
+}
+
+/// The jammed counterpart of [`physical_trace_is_pinned`]: 64 COGCAST
+/// hoppers crowded onto six fully shared channels, with a random
+/// n-uniform jammer removing two of them per node per slot.
+#[test]
+fn physical_jammed_trace_is_pinned() {
+    let n = 64;
+    let (c, jam_k) = (6, 2);
+    let model = StaticChannels::local(
+        crn_sim::assignment::full_overlap(n, c).expect("valid shape"),
+        4,
+    );
+    let jammer = crn_jamming::UniformJammer::new(n, c, jam_k, crn_jamming::JammerStrategy::Random);
+    let net = NetworkBuilder::new(model)
+        .seed(4)
+        .protocols(cogcast_protos(n))
+        .interference(Box::new(jammer))
+        .medium(PhysicalDecay::new())
+        .build()
+        .expect("construct");
+    let (informed_at, digest, rounds, failed) = physical_trace(net, 200);
+    assert_eq!(informed_at, Some(7), "jammed physical run length diverged");
+    assert_eq!(
+        digest, 0x6485_6fef_b9cd_d338,
+        "jammed physical trace diverged"
+    );
+    assert_eq!(rounds, 200 * 400, "jammed physical round bill diverged");
+    assert_eq!(failed, 0, "jammed failed episode count diverged");
 }

@@ -11,15 +11,16 @@
 //! interference/jamming, fault wrappers, tracing, and the `validate`
 //! conformance hook.
 //!
-//! Three implementations ship here:
+//! Three implementations ship here. The two single-hop media share one
+//! skeleton — group the participants by channel, pick each channel's
+//! winner, emit events, build channel records only for callers that
+//! read them — and differ only in the winner rule:
 //!
 //! - [`OracleSingleHop`] — the paper's Section 2 oracle: one uniformly
 //!   random winner per contended channel, success feedback, losers
-//!   overhear the winner. It resolves into compact per-node outcomes
-//!   and builds channel records only for callers that read them; its
-//!   winner draws consume the `ENGINE` RNG stream in ascending channel
-//!   order, so golden traces are byte-identical to the pre-medium
-//!   engine.
+//!   overhear the winner. Its winner draws consume the `ENGINE` RNG
+//!   stream in ascending channel order, so golden traces are
+//!   byte-identical to the pre-medium engine.
 //! - [`OracleMultihop`] — receiver-centric resolution over a
 //!   [`Topology`]: each listener independently hears one uniformly
 //!   random transmitting *neighbor* on its channel. On a complete
@@ -27,9 +28,9 @@
 //!   "multi-hop on a complete graph" literally the single-hop engine.
 //! - [`PhysicalDecay`] — no oracle anywhere: every abstract slot
 //!   expands into one fixed-length exponential-decay backoff episode
-//!   per channel (footnote 4), on the dedicated `PHYSICAL` RNG stream.
-//!   Physical-round counts and failed episodes are exposed as medium
-//!   metadata.
+//!   per channel (footnote 4, [`decay_episode`]), on the dedicated
+//!   `PHYSICAL` RNG stream. Physical-round counts and failed episodes
+//!   are exposed as medium metadata.
 
 use crate::ids::{GlobalChannel, NodeId};
 use crate::proto::{Action, Event};
@@ -109,9 +110,8 @@ pub struct SlotInputs<'a, M> {
 ///   `false` — [`crate::Network::step_unrecorded`] and the run loops
 ///   built on it — the medium may skip the records: the events alone
 ///   drive the protocols, and the engine marks the slot unrecorded.
-///   [`OracleSingleHop`] and [`OracleMultihop`] skip them; a medium
-///   that always builds them, such as [`PhysicalDecay`], stays
-///   correct.
+///   All three media here skip them; a medium that always builds them
+///   stays correct.
 /// - Records and events never change the random draws: a medium draws
 ///   the same numbers, in the same order, whether or not it builds
 ///   records.
@@ -152,7 +152,7 @@ const NO_WINNER: u32 = u32::MAX;
 struct ActiveChannel {
     broadcasters: u32,
     listeners: u32,
-    /// Where the channel's group starts in [`OracleSingleHop::grouped`]:
+    /// Where the channel's group starts in [`SingleHop::grouped`]:
     /// its broadcasters, then its listeners, each in ascending node
     /// order.
     start: u32,
@@ -230,22 +230,20 @@ fn record_class(record: &ChannelActivity) -> usize {
     (usize::BITS - capacity.leading_zeros()) as usize
 }
 
-/// The paper's Section 2 collision oracle — the default medium.
-///
-/// One uniformly random broadcaster per contended channel wins; all
-/// listeners on the channel receive its message; the winner gets
-/// success feedback and the losers overhear the winning message.
+/// The single-hop skeleton both single-hop media share: group the
+/// slot's participants by channel, let a winner rule pick each
+/// contended channel's winner, translate the winners into per-node
+/// events, and build [`ChannelActivity`] records only when asked.
 ///
 /// Resolution works on compact arrays: one entry per *active* channel
 /// (found through an epoch-stamped index, so the model's full channel
 /// space is never scanned or cleared), the participants grouped by
-/// channel, and a radix sort of the active channel ids for the winner
-/// draws. [`ChannelActivity`] records are built from those arrays only
-/// when [`SlotInputs::records`] asks for them. Both paths are
-/// allocation-free in steady state (see `crn-sim/tests/alloc.rs`).
-#[derive(Debug)]
-pub struct OracleSingleHop {
-    engine_rng: SimRng,
+/// channel, and a radix sort of the active channel ids so winner rules
+/// run in ascending channel order. Both paths — with and without
+/// records — are allocation-free in steady state (see
+/// `crn-sim/tests/alloc.rs`).
+#[derive(Debug, Default)]
+struct SingleHop {
     /// The current epoch; bumped every slot, so a stale stamp in
     /// `chan_index` means "inactive this slot" and the channel space is
     /// never cleared between slots.
@@ -272,28 +270,67 @@ pub struct OracleSingleHop {
     records_made: usize,
 }
 
-impl Default for OracleSingleHop {
-    fn default() -> Self {
-        OracleSingleHop {
-            engine_rng: derive_rng(0, streams::ENGINE),
-            epoch: 0,
-            chan_index: Vec::new(),
-            tuned_active: Vec::new(),
-            active: Vec::new(),
-            order: Vec::new(),
-            order_scratch: Vec::new(),
-            radix_counts: Vec::new(),
-            grouped: Vec::new(),
-            spare_records: Vec::new(),
-            records_made: 0,
-        }
-    }
-}
+impl SingleHop {
+    /// Resolves one slot: `winner` is called once per channel with at
+    /// least one broadcaster, in ascending channel order, with that
+    /// channel's broadcasters in ascending node order, and returns the
+    /// winning broadcaster or `None` when nobody got through.
+    ///
+    /// A winner is delivered to every other node on its channel, and
+    /// the winner itself observes [`Event::Delivered`]. On a channel
+    /// without a winner, listeners observe [`Event::Silence`] and
+    /// broadcasters [`Event::Delivered`]: hearing nothing is all a
+    /// broadcaster learns, and on a collision-as-silence radio that is
+    /// exactly what winning feels like.
+    fn resolve<M: Clone>(
+        &mut self,
+        inputs: &SlotInputs<'_, M>,
+        events: &mut [Option<Event<M>>],
+        activity: &mut SlotActivity,
+        mut winner: impl FnMut(&[NodeId]) -> Option<NodeId>,
+    ) {
+        self.group_by_channel(inputs.total_channels, inputs.tuned);
 
-impl OracleSingleHop {
-    /// A fresh oracle (the RNG is re-derived when the network seeds it).
-    pub fn new() -> Self {
-        OracleSingleHop::default()
+        for &(_, at) in &self.order {
+            let a = &mut self.active[at as usize];
+            if a.broadcasters > 0 {
+                let start = a.start as usize;
+                let broadcasters = &self.grouped[start..start + a.broadcasters as usize];
+                if let Some(w) = winner(broadcasters) {
+                    a.winner = w.0;
+                }
+            }
+        }
+
+        // Translate winners into per-node events (ascending node order,
+        // so message clones happen in the same order as the pre-medium
+        // engine's Phase D).
+        for (&(_, i, is_broadcast), &at) in inputs.tuned.iter().zip(&self.tuned_active) {
+            let w = self.active[at as usize].winner;
+            events[i] = Some(if w == NO_WINNER {
+                if is_broadcast {
+                    Event::Delivered
+                } else {
+                    Event::Silence
+                }
+            } else if is_broadcast && w as usize == i {
+                Event::Delivered
+            } else {
+                let Action::Broadcast(_, msg) = &inputs.actions[w as usize] else {
+                    unreachable!("winner must have broadcast")
+                };
+                let (from, msg) = (NodeId(w), msg.clone());
+                if is_broadcast {
+                    Event::Lost { winner: from, msg }
+                } else {
+                    Event::Received { from, msg }
+                }
+            });
+        }
+
+        if inputs.records {
+            self.fill_records(&mut activity.channels);
+        }
     }
 
     /// Groups `tuned` by channel: fills `active`, `tuned_active`,
@@ -462,6 +499,38 @@ impl OracleSingleHop {
     }
 }
 
+/// The paper's Section 2 collision oracle — the default medium.
+///
+/// One uniformly random broadcaster per contended channel wins; all
+/// listeners on the channel receive its message; the winner gets
+/// success feedback and the losers overhear the winning message.
+///
+/// This is the single-hop skeleton plus one uniform draw per channel
+/// with broadcasters, from the `ENGINE` stream in ascending channel
+/// order. [`ChannelActivity`] records are built only when
+/// [`SlotInputs::records`] asks for them.
+#[derive(Debug)]
+pub struct OracleSingleHop {
+    engine_rng: SimRng,
+    skeleton: SingleHop,
+}
+
+impl Default for OracleSingleHop {
+    fn default() -> Self {
+        OracleSingleHop {
+            engine_rng: derive_rng(0, streams::ENGINE),
+            skeleton: SingleHop::default(),
+        }
+    }
+}
+
+impl OracleSingleHop {
+    /// A fresh oracle (the RNG is re-derived when the network seeds it).
+    pub fn new() -> Self {
+        OracleSingleHop::default()
+    }
+}
+
 impl<M: Clone> Medium<M> for OracleSingleHop {
     fn reseed(&mut self, master: u64) {
         self.engine_rng = derive_rng(master, streams::ENGINE);
@@ -473,44 +542,11 @@ impl<M: Clone> Medium<M> for OracleSingleHop {
         events: &mut [Option<Event<M>>],
         activity: &mut SlotActivity,
     ) {
-        self.group_by_channel(inputs.total_channels, inputs.tuned);
-
-        // Resolve contention channel by channel, consuming the ENGINE
-        // stream in ascending channel order.
-        for &(_, at) in &self.order {
-            let a = &mut self.active[at as usize];
-            if a.broadcasters > 0 {
-                let pick = self.engine_rng.gen_range(0..a.broadcasters as usize);
-                a.winner = self.grouped[a.start as usize + pick].0;
-            }
-        }
-
-        // Translate winners into per-node events (ascending node order,
-        // so message clones happen in the same order as the pre-medium
-        // engine's Phase D).
-        for (&(_, i, is_broadcast), &at) in inputs.tuned.iter().zip(&self.tuned_active) {
-            let w = self.active[at as usize].winner;
-            events[i] = Some(if w == NO_WINNER {
-                debug_assert!(!is_broadcast, "a broadcaster's channel always has a winner");
-                Event::Silence
-            } else if is_broadcast && w as usize == i {
-                Event::Delivered
-            } else {
-                let Action::Broadcast(_, msg) = &inputs.actions[w as usize] else {
-                    unreachable!("winner must have broadcast")
-                };
-                let (from, msg) = (NodeId(w), msg.clone());
-                if is_broadcast {
-                    Event::Lost { winner: from, msg }
-                } else {
-                    Event::Received { from, msg }
-                }
+        let rng = &mut self.engine_rng;
+        self.skeleton
+            .resolve(inputs, events, activity, |broadcasters| {
+                Some(broadcasters[rng.gen_range(0..broadcasters.len())])
             });
-        }
-
-        if inputs.records {
-            self.fill_records(&mut activity.channels);
-        }
     }
 
     fn profile(&self) -> MediumProfile {
@@ -622,9 +658,9 @@ impl<M: Clone> Medium<M> for OracleMultihop {
         // medium, so channel records carry none (`guaranteed_winner:
         // false`).
         if inputs.records {
-            self.inner
-                .group_by_channel(inputs.total_channels, inputs.tuned);
-            self.inner.fill_records(&mut activity.channels);
+            let skeleton = &mut self.inner.skeleton;
+            skeleton.group_by_channel(inputs.total_channels, inputs.tuned);
+            skeleton.fill_records(&mut activity.channels);
         }
     }
 
@@ -666,6 +702,52 @@ pub fn recommended_rounds(n_max: usize) -> u64 {
     8 * e * e + 8
 }
 
+/// Runs one exponential-decay backoff episode among `m` contenders on
+/// a collision-as-silence channel (footnote 4) — the one episode loop
+/// every decay-backoff path in the workspace runs.
+///
+/// In round `j` of each `epoch`-round epoch (0-based), every contender
+/// transmits with probability `2^{-j}`, one `gen_bool` draw per
+/// contender per round. The first round with exactly one transmitter
+/// ends the episode: everyone else received that message and aborts.
+/// Returns that contender's index and the rounds used, or `None` and
+/// `max_rounds` if no round had a lone transmitter.
+///
+/// # Examples
+///
+/// ```
+/// use crn_sim::medium::{decay_episode, epoch_len, recommended_rounds};
+/// use crn_sim::SimRng;
+/// use rand::SeedableRng;
+///
+/// let mut rng = SimRng::seed_from_u64(5);
+/// // A lone contender transmits with probability 1 in round 0.
+/// assert_eq!(decay_episode(1, epoch_len(8), recommended_rounds(8), &mut rng), (Some(0), 1));
+/// let (winner, rounds) = decay_episode(6, epoch_len(8), recommended_rounds(8), &mut rng);
+/// assert!(winner.is_some_and(|w| w < 6) && rounds <= recommended_rounds(8));
+/// ```
+pub fn decay_episode(
+    m: usize,
+    epoch: u32,
+    max_rounds: u64,
+    rng: &mut SimRng,
+) -> (Option<usize>, u64) {
+    for round in 0..max_rounds {
+        let p = 0.5f64.powi((round % u64::from(epoch.max(1))) as i32);
+        let (mut transmitters, mut last) = (0usize, 0usize);
+        for i in 0..m {
+            if rng.gen_bool(p) {
+                transmitters += 1;
+                last = i;
+            }
+        }
+        if transmitters == 1 {
+            return (Some(last), round + 1);
+        }
+    }
+    (None, max_rounds)
+}
+
 /// The footnote-4 physical realization: no collision oracle anywhere.
 ///
 /// Every abstract slot expands into one fixed-length exponential-decay
@@ -686,6 +768,12 @@ pub fn recommended_rounds(n_max: usize) -> u64 {
 /// what winning feels like on this radio). The channel records no
 /// winner and [`PhysicalDecay::failed_episodes`] increments.
 ///
+/// Resolution is the single-hop skeleton [`OracleSingleHop`] uses, with
+/// one [`decay_episode`] per channel with broadcasters (ascending
+/// channel order, broadcasters in ascending node order) in place of the
+/// oracle's uniform draw; channel records are built only when
+/// [`SlotInputs::records`] asks for them.
+///
 /// All randomness comes from the dedicated `PHYSICAL` stream
 /// (docs/RNG_STREAMS.md), never from the oracle's `ENGINE` stream.
 #[derive(Debug)]
@@ -694,14 +782,7 @@ pub struct PhysicalDecay {
     physical_rounds: u64,
     failed_episodes: u64,
     rounds_per_slot: u64,
-    /// Scratch: `tuned` re-sorted by `(channel, node)`.
-    by_channel: Vec<(GlobalChannel, usize, bool)>,
-    /// Scratch: per-broadcaster transmit flags within an episode.
-    tx: Vec<bool>,
-    /// Scratch: per node, the winning node on its channel (if any).
-    winners: Vec<Option<usize>>,
-    /// Scratch: per node, whether its channel's episode failed.
-    failed: Vec<bool>,
+    skeleton: SingleHop,
 }
 
 impl Default for PhysicalDecay {
@@ -711,10 +792,7 @@ impl Default for PhysicalDecay {
             physical_rounds: 0,
             failed_episodes: 0,
             rounds_per_slot: 0,
-            by_channel: Vec::new(),
-            tx: Vec::new(),
-            winners: Vec::new(),
-            failed: Vec::new(),
+            skeleton: SingleHop::default(),
         }
     }
 }
@@ -759,116 +837,19 @@ impl<M: Clone> Medium<M> for PhysicalDecay {
         // Fixed-length episodes keep the channels synchronized: every
         // abstract slot costs R physical rounds no matter how early
         // any one channel's episode succeeds.
-        self.rounds_per_slot = recommended_rounds(inputs.n);
-        self.physical_rounds += self.rounds_per_slot;
-        let epoch = epoch_len(inputs.n) as u64;
-
-        self.by_channel.clear();
-        self.by_channel.extend_from_slice(inputs.tuned);
-        self.by_channel
-            .sort_unstable_by_key(|&(ch, node, _)| (ch, node));
-        self.winners.clear();
-        self.winners.resize(inputs.n, None);
-        self.failed.clear();
-        self.failed.resize(inputs.n, false);
-
-        activity.channels.clear();
-        let mut start = 0;
-        while start < self.by_channel.len() {
-            let channel = self.by_channel[start].0;
-            let mut end = start;
-            while end < self.by_channel.len() && self.by_channel[end].0 == channel {
-                end += 1;
-            }
-            let group = &self.by_channel[start..end];
-            let mut act = empty_channel_record();
-            act.channel = channel;
-            for &(_, node, is_broadcast) in group {
-                if is_broadcast {
-                    act.broadcasters.push(NodeId(node as u32));
-                } else {
-                    act.listeners.push(NodeId(node as u32));
-                }
-            }
-            // One decay episode among this channel's broadcasters.
-            let winner = if act.broadcasters.is_empty() {
-                None
-            } else {
-                let m = act.broadcasters.len();
-                self.tx.clear();
-                self.tx.resize(m, false);
-                let mut won = None;
-                for round in 0..self.rounds_per_slot {
-                    let j = (round % epoch) as i32;
-                    let p = 0.5f64.powi(j).min(1.0);
-                    for t in self.tx.iter_mut() {
-                        *t = self.rng.gen_bool(p);
-                    }
-                    // A lone transmission ends the episode: everyone
-                    // else received it and aborts.
-                    let mut lone = None;
-                    let mut count = 0;
-                    for (i, &t) in self.tx.iter().enumerate() {
-                        if t {
-                            count += 1;
-                            lone = Some(i);
-                        }
-                    }
-                    if count == 1 {
-                        won = lone;
-                        break;
-                    }
-                }
+        let rounds = recommended_rounds(inputs.n);
+        self.rounds_per_slot = rounds;
+        self.physical_rounds += rounds;
+        let epoch = epoch_len(inputs.n);
+        let (rng, failed) = (&mut self.rng, &mut self.failed_episodes);
+        self.skeleton
+            .resolve(inputs, events, activity, |broadcasters| {
+                let (won, _) = decay_episode(broadcasters.len(), epoch, rounds, rng);
                 if won.is_none() {
-                    self.failed_episodes += 1;
-                    for &(_, node, _) in group {
-                        self.failed[node] = true;
-                    }
+                    *failed += 1;
                 }
-                won.map(|i| act.broadcasters[i].index())
-            };
-            act.winner = winner.map(|i| NodeId(i as u32));
-            for &(_, node, _) in group {
-                self.winners[node] = winner;
-            }
-            activity.channels.push(act);
-            start = end;
-        }
-
-        // Events, ascending node order.
-        for &(_, i, is_broadcast) in inputs.tuned {
-            events[i] = Some(if is_broadcast {
-                match self.winners[i] {
-                    Some(w) if w == i => Event::Delivered,
-                    Some(w) => {
-                        let Action::Broadcast(_, msg) = &inputs.actions[w] else {
-                            unreachable!("winner must have broadcast")
-                        };
-                        Event::Lost {
-                            winner: NodeId(w as u32),
-                            msg: msg.clone(),
-                        }
-                    }
-                    // Failed episode: this broadcaster heard nothing
-                    // all episode, which is indistinguishable from
-                    // winning on this radio.
-                    None => Event::Delivered,
-                }
-            } else {
-                match self.winners[i] {
-                    Some(w) => {
-                        let Action::Broadcast(_, msg) = &inputs.actions[w] else {
-                            unreachable!("winner must have broadcast")
-                        };
-                        Event::Received {
-                            from: NodeId(w as u32),
-                            msg: msg.clone(),
-                        }
-                    }
-                    None => Event::Silence,
-                }
+                won.map(|i| broadcasters[i])
             });
-        }
     }
 
     fn profile(&self) -> MediumProfile {
@@ -882,7 +863,7 @@ impl<M: Clone> Medium<M> for PhysicalDecay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assignment::full_overlap;
+    use crate::assignment::{full_overlap, shared_core};
     use crate::channel_model::StaticChannels;
     use crate::ids::LocalChannel;
     use crate::proto::{NodeCtx, Protocol};
@@ -958,12 +939,15 @@ mod tests {
             out
         };
         let mut wrapping = OracleSingleHop::new();
-        wrapping.epoch = u32::MAX - 1;
+        wrapping.skeleton.epoch = u32::MAX - 1;
         assert_eq!(
             resolve_four(&mut wrapping),
             resolve_four(&mut OracleSingleHop::new())
         );
-        assert_eq!(wrapping.epoch, 3, "the epoch restarted after the wrap");
+        assert_eq!(
+            wrapping.skeleton.epoch, 3,
+            "the epoch restarted after the wrap"
+        );
     }
 
     #[test]
@@ -1036,6 +1020,92 @@ mod tests {
         assert!(
             (700..=1300).contains(&wins0),
             "physical winner badly skewed: {wins0}/2000"
+        );
+    }
+
+    /// COGCAST in miniature: informed nodes broadcast on a uniformly
+    /// random local channel, the rest listen on one, and a listener
+    /// that receives anything becomes informed.
+    struct Hopper {
+        informed: bool,
+    }
+
+    impl Protocol<u8> for Hopper {
+        fn decide(&mut self, ctx: &NodeCtx<'_>, rng: &mut SimRng) -> Action<u8> {
+            let ch = LocalChannel(rng.gen_range(0..ctx.c as u32));
+            if self.informed {
+                Action::Broadcast(ch, 1)
+            } else {
+                Action::Listen(ch)
+            }
+        }
+        fn observe(&mut self, _ctx: &NodeCtx<'_>, event: Event<u8>) {
+            self.informed |= matches!(event, Event::Received { .. });
+        }
+    }
+
+    /// Runs hoppers on `shared_core(n, c, k)` (local labels, node 0
+    /// informed) until everyone is informed, returning the informed
+    /// count after each slot and the medium.
+    fn hop_to_everyone<Med: Medium<u8>>(
+        (n, c, k): (usize, usize, usize),
+        seed: u64,
+        medium: Med,
+    ) -> (Vec<usize>, Med) {
+        let model = StaticChannels::local(shared_core(n, c, k).unwrap(), seed);
+        let protos = (0..n).map(|i| Hopper { informed: i == 0 }).collect();
+        let mut net = Network::with_medium(model, protos, seed, medium).unwrap();
+        let mut informed_per_slot = Vec::new();
+        while informed_per_slot.last() != Some(&n) {
+            assert!(
+                informed_per_slot.len() < 100_000,
+                "seed {seed} never finished"
+            );
+            net.step_unrecorded();
+            informed_per_slot.push(net.protocols().iter().filter(|p| p.informed).count());
+        }
+        (informed_per_slot, net.into_medium())
+    }
+
+    #[test]
+    fn physical_decay_episodes_do_not_fail_at_small_n() {
+        for seed in 0..5 {
+            let (_, medium) = hop_to_everyone((16, 6, 2), seed, PhysicalDecay::new());
+            assert_eq!(
+                medium.failed_episodes(),
+                0,
+                "episodes should not fail at n=16 (seed {seed})"
+            );
+        }
+    }
+
+    #[test]
+    fn physical_decay_informed_counts_are_monotone() {
+        let (informed, _) = hop_to_everyone((20, 5, 2), 7, PhysicalDecay::new());
+        for w in informed.windows(2) {
+            assert!(w[0] <= w[1]);
+        }
+        assert_eq!(*informed.last().unwrap(), 20);
+    }
+
+    #[test]
+    fn physical_decay_slot_counts_match_the_oracle_in_distribution() {
+        // The substitution-preservation check: mean completion in
+        // abstract slots over decay backoff should be close to the
+        // collision oracle's for the same hopping protocol.
+        let (mut physical_total, mut oracle_total) = (0, 0);
+        for seed in 0..30 {
+            physical_total += hop_to_everyone((20, 6, 2), seed, PhysicalDecay::new())
+                .0
+                .len();
+            oracle_total += hop_to_everyone((20, 6, 2), seed, OracleSingleHop::new())
+                .0
+                .len();
+        }
+        let ratio = physical_total as f64 / oracle_total as f64;
+        assert!(
+            (0.5..2.0).contains(&ratio),
+            "physical medium diverges from the oracle model: ratio {ratio}"
         );
     }
 

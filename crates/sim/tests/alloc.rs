@@ -4,9 +4,10 @@
 //! warm-up period long enough for every scratch buffer and recycled
 //! [`ChannelActivity`] record to reach its high-water capacity, stepping
 //! the network must perform zero heap allocations — with and without an
-//! interference model installed, on the worker pool, and record-free
+//! interference model installed, on the worker pool, record-free
 //! ([`Network::step_unrecorded`]) on a channel space far larger than
-//! the network.
+//! the network, and on the decay-backoff medium ([`PhysicalDecay`]),
+//! with and without records.
 //!
 //! This file intentionally contains a single `#[test]` so no concurrent
 //! test can allocate while the counter is being read.
@@ -20,7 +21,9 @@ use crn_sim::assignment::shared_core;
 use crn_sim::channel_model::StaticChannels;
 use crn_sim::interference::Interference;
 use crn_sim::rng::SimRng;
-use crn_sim::{Action, Event, GlobalChannel, LocalChannel, Network, NodeCtx, NodeId, Protocol};
+use crn_sim::{
+    Action, Event, GlobalChannel, LocalChannel, Network, NodeCtx, NodeId, PhysicalDecay, Protocol,
+};
 use rand::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -169,5 +172,29 @@ fn step_is_allocation_free_in_steady_state() {
             lean_net.step_unrecorded();
         },
         "record-free, n = 1024",
+    );
+
+    // The decay-backoff medium shares the oracle's skeleton, so it is
+    // allocation-free on both paths too.
+    let n = 64;
+    let model = StaticChannels::local(shared_core(n, 8, 2).unwrap(), 15);
+    let mut physical_net =
+        Network::with_medium(model, hopper_protos(n), 15, PhysicalDecay::new()).unwrap();
+    assert_steady_state_alloc_free(
+        || {
+            physical_net.step();
+        },
+        "physical, n = 64",
+    );
+
+    let n = 1024;
+    let model = StaticChannels::local(shared_core(n, 8, 2).unwrap(), 16);
+    let mut lean_physical_net =
+        Network::with_medium(model, hopper_protos(n), 16, PhysicalDecay::new()).unwrap();
+    assert_steady_state_alloc_free(
+        || {
+            lean_physical_net.step_unrecorded();
+        },
+        "physical record-free, n = 1024",
     );
 }

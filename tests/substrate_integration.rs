@@ -2,16 +2,15 @@
 //! stack, spectrum sensing, seed-exchange rendezvous, fault injection,
 //! and global-id permutation invariance.
 
-use crn::backoff::stack::run_physical_broadcast;
 use crn::core::aggregate::Sum;
-use crn::core::cogcast::{run_broadcast, CogCast};
+use crn::core::cogcast::{run_broadcast, run_broadcast_on, CogCast};
 use crn::core::cogcomp::run_aggregation_default;
 use crn::rendezvous::acquainted::run_acquainted;
 use crn::sim::assignment::shared_core;
 use crn::sim::channel_model::StaticChannels;
 use crn::sim::faults::{FaultSchedule, Flaky};
 use crn::sim::sensing::{sense_assignment, SpectrumConfig};
-use crn::sim::Network;
+use crn::sim::{Network, PhysicalDecay};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,19 +27,11 @@ fn physical_stack_and_oracle_model_agree_on_slot_scale() {
             .slots
             .unwrap();
 
-        let sets: Vec<Vec<u32>> = (0..n)
-            .map(|i| {
-                shared_core(n, c, k)
-                    .unwrap()
-                    .channels_of(i)
-                    .iter()
-                    .map(|g| g.0)
-                    .collect()
-            })
-            .collect();
-        let run = run_physical_broadcast(&sets, seed, 10_000_000).unwrap();
+        let model = StaticChannels::local(shared_core(n, c, k).unwrap(), seed);
+        let (run, medium) =
+            run_broadcast_on(model, seed, 10_000_000, PhysicalDecay::new()).unwrap();
         assert!(run.completed());
-        assert_eq!(run.failed_episodes, 0);
+        assert_eq!(medium.failed_episodes(), 0);
         physical_total += run.slots.unwrap();
     }
     let ratio = physical_total as f64 / oracle_total as f64;
