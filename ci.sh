@@ -13,11 +13,7 @@
 #   6. the differential model-conformance suite, quick profile (the
 #      Section 2 validator over property-generated workloads plus the
 #      oracle-vs-physical and oracle-vs-multihop cross-checks, and the
-#      medium sweep running the validator over all three media) — run
-#      twice, under CRN_THREADS=1 (sequential stepping) and
-#      CRN_THREADS=4 (every network fanned across the worker pool), so
-#      the parallel decide/observe phases face the same contract and
-#      serial winner replay as the sequential engine
+#      medium sweep running the validator over all three media)
 #   7. the same experiment smoke with the in-step validator compiled
 #      in (--features validate), so every slot of every experiment is
 #      checked against the model contract end to end
@@ -29,9 +25,9 @@
 #  10. the benchmark package (perfbench/, its own workspace) built and
 #      its transparency test run: the benchmark reads the engine only
 #      through its public API (Medium::resolve filling channel records,
-#      Network::step, set_parallelism, ParConfig, WorkerPool), so an
-#      API change that breaks it fails here rather than in a benchmark
-#      run
+#      Network::step, WorkerPool, and the hidden no-op set_parallelism
+#      and ParConfig kept for it), so an API change that breaks it fails
+#      here rather than in a benchmark run
 #
 # Everything is offline: external dependencies resolve to the stubs
 # under vendor/ (see Cargo.toml [workspace.dependencies]).
@@ -56,11 +52,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> experiments all --quick (smoke)"
 cargo run --release -q -p crn-bench --bin experiments -- all --quick > /dev/null
 
-echo "==> conformance --quick (differential suite, sequential stepping)"
-CRN_THREADS=1 cargo run --release -q -p crn-bench --bin conformance -- --quick
-
-echo "==> conformance --quick (differential suite, 4-worker parallel stepping)"
-CRN_THREADS=4 cargo run --release -q -p crn-bench --bin conformance -- --quick
+echo "==> conformance --quick (differential suite)"
+cargo run --release -q -p crn-bench --bin conformance -- --quick
 
 echo "==> experiments all --quick with the in-step validator (smoke)"
 cargo run --release -q -p crn-bench --features validate --bin experiments -- all --quick > /dev/null

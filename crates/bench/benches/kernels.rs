@@ -10,9 +10,7 @@ use crn_bench::effort::par_trials;
 use crn_core::cogcast::CogCast;
 use crn_sim::assignment::shared_core;
 use crn_sim::channel_model::StaticChannels;
-use crn_sim::pool::WorkerPool;
-use crn_sim::{Network, ParConfig, PhysicalDecay};
-use std::sync::Arc;
+use crn_sim::{Network, PhysicalDecay};
 
 /// The (n, c) grid the slot-engine sweep and the JSON baseline cover.
 const ENGINE_GRID: [(usize, usize); 7] = [
@@ -144,32 +142,6 @@ fn measure_physical_ns_per_slot(n: usize, c: usize) -> (f64, f64) {
     )
 }
 
-/// [`measure_slots_per_sec`] with a dedicated `workers`-wide pool
-/// installed at threshold 1, so the decide/observe fan-out engages on
-/// every slot. `workers == 0` installs nothing — the true sequential
-/// baseline for the A/B overhead check (`workers == 1` has the config
-/// installed but disengaged, which must cost the same).
-fn measure_parallel_slots_per_sec(n: usize, c: usize, workers: usize) -> (f64, f64) {
-    let mut net = engine_net(n, c, 1);
-    if workers > 0 {
-        let pool = Arc::new(WorkerPool::new(workers));
-        net.set_parallelism(Some(ParConfig::new(pool).with_threshold(1)));
-    }
-    for _ in 0..3000 {
-        net.step();
-    }
-    let slots = (2_000_000 / n).max(2000) as u64;
-    let t0 = Instant::now();
-    for _ in 0..slots {
-        net.step();
-    }
-    let dt = t0.elapsed();
-    (
-        slots as f64 / dt.as_secs_f64(),
-        dt.as_nanos() as f64 / slots as f64,
-    )
-}
-
 /// Re-measures the sweep with plain wall-clock timing and records it to
 /// `BENCH_engine.json` at the repository root — the tracked baseline
 /// EXPERIMENTS.md and the README's Performance section reference. Also
@@ -193,22 +165,6 @@ fn write_engine_baseline() {
         ));
     }
 
-    // Worker-scaling curve for the intra-slot fan-out at the two
-    // largest oracle sizes, plus the A/B overhead check: a network with
-    // a 1-worker config installed must run at the plain sequential
-    // rate, because `workers == 1` takes the sequential special case.
-    let mut parallel_rows = Vec::new();
-    for &n in &[256usize, 1024] {
-        for workers in [1usize, 2, 4, 8] {
-            let (slots_per_sec, ns_per_slot) = measure_parallel_slots_per_sec(n, 8, workers);
-            parallel_rows.push(format!(
-                "    {{\"n\": {n}, \"c\": 8, \"workers\": {workers}, \"slots_per_sec\": {slots_per_sec:.0}, \"ns_per_slot\": {ns_per_slot:.1}}}"
-            ));
-        }
-    }
-    let (seq_sps, _) = measure_parallel_slots_per_sec(1024, 8, 0);
-    let (w1_sps, _) = measure_parallel_slots_per_sec(1024, 8, 1);
-
     // Aggregate: 32 independent n=256 trial networks across all cores,
     // the shape of a `par_trials` experiment sweep.
     let (trials, per_trial_slots) = (32usize, 4000u64);
@@ -225,11 +181,9 @@ fn write_engine_baseline() {
     let host_cores = crn_sim::pool::default_workers();
     let revision = revision();
     let json = format!(
-        "{{\n  \"bench\": \"slot_engine\",\n  \"workload\": \"COGCAST broadcast, shared_core(n, c, 2), local labels\",\n  \"engine\": \"scratch-buffered, allocation-free steady state, record-free oracle resolution (radix-grouped active channels), pool-parallel decide/observe phases\",\n  \"grid_note\": \"ns_per_slot steps with step() (channel records built); record_free_ns_per_slot with step_unrecorded(), as the protocol runners step\",\n  \"host_cores\": {host_cores},\n  \"revision\": \"{revision}\",\n  \"grid\": [\n{}\n  ],\n  \"physical_slot\": [\n{}\n  ],\n  \"parallel_slot\": [\n{}\n  ],\n  \"sequential_vs_workers1\": {{\"n\": 1024, \"c\": 8, \"no_config_slots_per_sec\": {seq_sps:.0}, \"workers1_slots_per_sec\": {w1_sps:.0}, \"ratio\": {:.3}}},\n  \"parallel_note\": \"worker widths beyond host_cores oversubscribe the host; digest-identity at every width is enforced by crates/bench/tests/parallel_differential.rs, real scaling needs a multi-core host\",\n  \"par_trials\": {{\"trials\": {trials}, \"slots_per_trial\": {per_trial_slots}, \"aggregate_slots_per_sec\": {aggregate:.0}}}\n}}\n",
+        "{{\n  \"bench\": \"slot_engine\",\n  \"workload\": \"COGCAST broadcast, shared_core(n, c, 2), local labels\",\n  \"engine\": \"scratch-buffered, allocation-free steady state, record-free oracle resolution (radix-grouped active channels), every trial stepped on one thread\",\n  \"grid_note\": \"ns_per_slot steps with step() (channel records built); record_free_ns_per_slot with step_unrecorded(), as the protocol runners step\",\n  \"host_cores\": {host_cores},\n  \"revision\": \"{revision}\",\n  \"grid\": [\n{}\n  ],\n  \"physical_slot\": [\n{}\n  ],\n  \"par_trials\": {{\"trials\": {trials}, \"slots_per_trial\": {per_trial_slots}, \"aggregate_slots_per_sec\": {aggregate:.0}}}\n}}\n",
         rows.join(",\n"),
         physical_rows.join(",\n"),
-        parallel_rows.join(",\n"),
-        w1_sps / seq_sps
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     std::fs::write(path, json).expect("write BENCH_engine.json");

@@ -126,20 +126,13 @@ fn gen_workload(seed: u64) -> Workload {
 /// Steps `slots` slots, conformance-checking each one, then — when the
 /// medium draws its winners from the ENGINE stream — replays the
 /// recorded winners against it. Returns every violation.
-///
-/// Installs pool parallelism at threshold 1 first, so a multi-worker
-/// run (`CRN_THREADS=4 conformance ...`) checks the *parallel* decide
-/// and observe phases against the Section 2 contract and the serial
-/// ENGINE-stream replay — the sweep doubles as a determinism audit of
-/// the intra-slot fan-out.
 fn drive<M, P, CM, Med>(net: &mut Network<M, P, CM, Med>, seed: u64, slots: u64) -> Vec<Violation>
 where
-    M: Clone + Send,
-    P: Protocol<M> + Send,
-    CM: ChannelModel + Sync,
+    M: Clone,
+    P: Protocol<M>,
+    CM: ChannelModel,
     Med: Medium<M>,
 {
-    net.set_parallelism(crn_sim::ParConfig::auto().map(|cfg| cfg.with_threshold(1)));
     let mut violations = Vec::new();
     let mut trace: Vec<SlotActivity> = Vec::with_capacity(slots as usize);
     for _ in 0..slots {
@@ -461,11 +454,7 @@ fn medium_sweep(workloads: u64, media: &[&str]) -> usize {
 }
 
 fn main() -> ExitCode {
-    let args = match Args::parse(
-        std::env::args().skip(1),
-        &["--quick"],
-        &["--threads", "--medium"],
-    ) {
+    let args = match Args::parse(std::env::args().skip(1), &["--quick"], &["--medium"]) {
         Ok(args) => match args.positional() {
             [] => args,
             [stray, ..] => return usage_error(&format!("unexpected argument {stray}")),
@@ -473,13 +462,6 @@ fn main() -> ExitCode {
         Err(e) => return usage_error(&e),
     };
     let quick = args.has("--quick");
-    // Validate the worker-pool width up front (--threads beats
-    // CRN_THREADS): the sweep deliberately steps its networks through
-    // the parallel phases when the pool has more than one worker.
-    if let Err(e) = crn_sim::pool::init_from_flag(args.value("--threads")) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
     let media: Vec<&str> = match args.value("--medium") {
         Some(m) => match MEDIA.iter().find(|&&x| x == m) {
             Some(&medium) => vec![medium],
@@ -494,15 +476,9 @@ fn main() -> ExitCode {
     } else {
         (360u64, 200u64, 5u64)
     };
-    let workers = crn_sim::pool::global().workers();
     println!(
-        "model-conformance differential suite ({} profile, {workers}-worker pool, {} stepping)",
-        if quick { "quick" } else { "full" },
-        if workers > 1 {
-            "parallel"
-        } else {
-            "sequential"
-        }
+        "model-conformance differential suite ({} profile)",
+        if quick { "quick" } else { "full" }
     );
     let mut failures = 0usize;
     failures += validator_sweep(sweep);
@@ -522,7 +498,7 @@ fn main() -> ExitCode {
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("error: {message}");
     eprintln!(
-        "usage: conformance [--quick] [--threads N] [--medium {}]",
+        "usage: conformance [--quick] [--medium {}]",
         MEDIA.join("|")
     );
     ExitCode::FAILURE

@@ -148,5 +148,7 @@ fn print_help() {
     println!(
         "  --time-json FILE  write per-experiment wall-clock timings (BENCH_experiments.json)"
     );
-    println!("  --threads N  worker-pool width (overrides CRN_THREADS; default: available cores)");
+    println!(
+        "  --threads N  width of the trial pool (overrides CRN_THREADS; default: available cores)"
+    );
 }

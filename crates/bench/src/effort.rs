@@ -66,11 +66,9 @@ impl Effort {
 /// seed order.
 ///
 /// The pool defaults to one worker per core and is governed by the
-/// `CRN_THREADS` env override / `--threads` flag. Because the engine's
-/// intra-slot parallelism draws from the *same* pool, nested use
-/// (parallel trials × parallel slots) shares one core budget: a trial
-/// body that tries to fan out from inside a pool worker simply runs
-/// inline instead of oversubscribing.
+/// `CRN_THREADS` env override / `--threads` flag. Each trial steps on
+/// the worker that claimed it; a trial body that submits its own pool
+/// job from inside a worker runs it inline instead of oversubscribing.
 ///
 /// # Panics
 ///

@@ -49,10 +49,13 @@ fn conformance_rejects_bad_flags() {
     assert_rejected(bin, &["--quick", "--bogus"], "unknown flag --bogus", hint);
     assert_rejected(
         bin,
-        &["--quick", "--threads"],
-        "--threads needs a value",
+        &["--quick", "--medium"],
+        "--medium needs a value",
         hint,
     );
+    // The suite steps every network on one thread and runs no trial
+    // pool, so a pool width is not a flag it accepts.
+    assert_rejected(bin, &["--threads", "2"], "unknown flag --threads", hint);
     assert_rejected(bin, &["--medium", "radio"], "--medium needs one of", hint);
     assert_rejected(bin, &["quick"], "unexpected argument quick", hint);
 }

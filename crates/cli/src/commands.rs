@@ -119,7 +119,7 @@ fn medium_by_name(name: &str) -> Result<MediumChoice, String> {
 
 /// Runs COGCAST over the chosen medium; accumulates physical-round
 /// counts into `physical_rounds` when the medium is `physical`.
-fn broadcast_on_medium<CM: crn_sim::ChannelModel + Sync>(
+fn broadcast_on_medium<CM: crn_sim::ChannelModel>(
     model: CM,
     seed: u64,
     medium: MediumChoice,
@@ -159,6 +159,11 @@ pub fn broadcast(opts: &Opts) -> Result<String, String> {
     let pattern = pattern_by_name(&opts.get_str("pattern", "shared-core"))?;
     let medium = medium_by_name(&opts.get_str("medium", "oracle"))?;
     let churn = opts.get("churn", 0.0f64)?;
+    // A churn outside [0, 1] (NaN included) would otherwise fall
+    // through to the churn-free model without a word.
+    if !(0.0..=1.0).contains(&churn) {
+        return Err(format!("--churn must be in [0, 1], got {churn}"));
+    }
     let mut slots = Vec::new();
     let mut physical_rounds = 0u64;
     for t in 0..trials as u64 {
@@ -590,7 +595,9 @@ COMMANDS
               --n 32 --c 8 --k 2 --rounds 5 --op max
 
 GLOBAL FLAGS
-  --threads N   worker-pool width for parallel phases (every command).
+  --threads N   width of the trial pool (every command). crn runs its
+                trials in order, each on one thread, so today only
+                the experiments binary fans trials across the pool.
                 Overrides the CRN_THREADS env var; defaults to the
                 machine's available cores. Strictly validated: 0, junk
                 or out-of-range values are errors, never defaults.

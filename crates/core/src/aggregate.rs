@@ -17,12 +17,7 @@ use serde::{Deserialize, Serialize};
 /// - commutativity: `merge(a, b) == merge(b, a)`
 ///
 /// (Both are property-tested for the provided implementations.)
-///
-/// `Send` is a supertrait because aggregation values ride in messages
-/// that cross worker threads — both across parallel trials and across
-/// the engine's intra-slot worker pool. Aggregates are plain data, so
-/// this costs implementations nothing.
-pub trait Aggregate: Clone + std::fmt::Debug + PartialEq + Send {
+pub trait Aggregate: Clone + std::fmt::Debug + PartialEq {
     /// Folds `other` into `self`.
     fn merge(&mut self, other: &Self);
 }

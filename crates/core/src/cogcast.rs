@@ -309,7 +309,7 @@ impl BroadcastRun {
 /// assert!(run.completed());
 /// # Ok::<(), crn_sim::SimError>(())
 /// ```
-pub fn run_broadcast<CM: crn_sim::ChannelModel + Sync>(
+pub fn run_broadcast<CM: crn_sim::ChannelModel>(
     model: CM,
     seed: u64,
     budget: u64,
@@ -351,7 +351,7 @@ pub fn run_broadcast_on<CM, Med>(
     medium: Med,
 ) -> Result<(BroadcastRun, Med), crn_sim::SimError>
 where
-    CM: crn_sim::ChannelModel + Sync,
+    CM: crn_sim::ChannelModel,
     Med: crn_sim::Medium<()>,
 {
     let n = model.n();
@@ -359,9 +359,6 @@ where
     protos.push(CogCast::source(()));
     protos.extend((1..n).map(|_| CogCast::node()));
     let mut net = crn_sim::Network::with_medium(model, protos, seed, medium)?;
-    // Large networks fan decide/observe across the shared pool;
-    // digest-identical at any worker count, so always safe to enable.
-    net.set_parallelism(crn_sim::ParConfig::auto());
 
     let mut informed_per_slot = Vec::new();
     let mut slots = None;
@@ -388,7 +385,7 @@ where
 /// # Errors
 ///
 /// Propagates [`crn_sim::SimError`] from network construction.
-pub fn run_broadcast_default<CM: crn_sim::ChannelModel + Sync>(
+pub fn run_broadcast_default<CM: crn_sim::ChannelModel>(
     model: CM,
     seed: u64,
     alpha: f64,
@@ -404,11 +401,7 @@ mod tests {
     use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
     use crn_sim::Network;
 
-    fn complete_on(
-        model: impl crn_sim::ChannelModel + Sync,
-        seed: u64,
-        budget: u64,
-    ) -> BroadcastRun {
+    fn complete_on(model: impl crn_sim::ChannelModel, seed: u64, budget: u64) -> BroadcastRun {
         run_broadcast(model, seed, budget).unwrap()
     }
 

@@ -170,10 +170,26 @@ impl CogCompConfig {
     /// `3·(4n + 32)` phase-four slots per round. Theorem 10 bounds
     /// phase four by `O(n)` steps; the headroom keeps low-probability
     /// stragglers from timing out in experiments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule overflows `u64` (an absurd phase-one
+    /// length; the runners reject such a configuration first).
     pub fn recommended_budget(&self) -> u64 {
-        self.phase4_start()
-            + 3 * self.round_steps() * self.rounds.max(1) as u64
-            + 3 * (2 * self.n as u64 + 32)
+        self.checked_budget()
+            .expect("COGCOMP slot schedule overflows u64")
+    }
+
+    /// [`CogCompConfig::recommended_budget`], or `None` when the slot
+    /// schedule (phase one twice, then every phase-four window)
+    /// overflows `u64`.
+    pub(crate) fn checked_budget(&self) -> Option<u64> {
+        let window = 3 * self.round_steps();
+        self.phase1_slots
+            .checked_mul(2)?
+            .checked_add(self.n as u64)?
+            .checked_add(window.checked_mul(u64::from(self.rounds.max(1)))?)?
+            .checked_add(window)
     }
 }
 

@@ -53,7 +53,10 @@ impl<V> AggregationRun<V> {
 /// # Errors
 ///
 /// Returns [`SimError::InvalidParams`] if `values.len()` differs from
-/// the model's node count, and propagates network construction errors.
+/// the model's node count, if `alpha` is not a positive finite number,
+/// or if the phase-one budget it sizes does not fit in `usize` or
+/// overflows the slot schedule; propagates network construction
+/// errors.
 ///
 /// # Examples
 ///
@@ -71,13 +74,13 @@ impl<V> AggregationRun<V> {
 /// assert_eq!(run.result, Some(Sum((0..12).sum())));
 /// # Ok::<(), crn_sim::SimError>(())
 /// ```
-pub fn run_aggregation<CM: ChannelModel + Sync, V: Aggregate>(
+pub fn run_aggregation<CM: ChannelModel, V: Aggregate>(
     model: CM,
     values: Vec<V>,
     seed: u64,
     alpha: f64,
 ) -> Result<AggregationRun<V>, SimError> {
-    let cfg = CogCompConfig::new(model.n(), model.c(), model.k(), alpha);
+    let cfg = checked_config(model.n(), model.c(), model.k(), alpha)?;
     let budget = cfg.recommended_budget();
     run_aggregation_cfg(model, values, seed, cfg, budget)
 }
@@ -96,13 +99,47 @@ pub fn run_aggregation_on<CM, V, Med>(
     medium: Med,
 ) -> Result<(AggregationRun<V>, Med), SimError>
 where
-    CM: ChannelModel + Sync,
+    CM: ChannelModel,
     V: Aggregate,
     Med: crn_sim::Medium<CogCompMsg<V>>,
 {
-    let cfg = CogCompConfig::new(model.n(), model.c(), model.k(), alpha);
+    let cfg = checked_config(model.n(), model.c(), model.k(), alpha)?;
     let budget = cfg.recommended_budget();
     run_aggregation_cfg_on(model, values, seed, cfg, budget, medium)
+}
+
+/// The Theorem 4-sized configuration for `alpha`, rejecting an `alpha`
+/// that is not a positive finite number (`0`, negatives and NaN would
+/// silently shrink phase one to a single slot) and one whose phase-one
+/// budget does not fit in `usize` or overflows the slot schedule.
+fn checked_config(n: usize, c: usize, k: usize, alpha: f64) -> Result<CogCompConfig, SimError> {
+    if !(alpha.is_finite() && alpha > 0.0) {
+        return Err(SimError::InvalidParams {
+            reason: format!("alpha must be a positive finite number, got {alpha}"),
+        });
+    }
+    let cfg = CogCompConfig::new(n, c, k, alpha);
+    check_schedule(&cfg).map_err(|_| SimError::InvalidParams {
+        reason: format!(
+            "alpha = {alpha} sizes a phase one of {} slots, which does not fit the slot schedule",
+            cfg.phase1_slots
+        ),
+    })?;
+    Ok(cfg)
+}
+
+/// Rejects a configuration whose phase-one budget does not fit in
+/// `usize` or whose slot schedule overflows `u64`.
+fn check_schedule(cfg: &CogCompConfig) -> Result<(), SimError> {
+    if usize::try_from(cfg.phase1_slots).is_err() || cfg.checked_budget().is_none() {
+        return Err(SimError::InvalidParams {
+            reason: format!(
+                "a phase one of {} slots does not fit the slot schedule",
+                cfg.phase1_slots
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Runs COGCOMP with an explicit configuration (e.g. the
@@ -112,9 +149,10 @@ where
 /// # Errors
 ///
 /// Returns [`SimError::InvalidParams`] if `values.len()` differs from
-/// the model's node count or `cfg` disagrees with the model's shape,
-/// and propagates network construction errors.
-pub fn run_aggregation_cfg<CM: ChannelModel + Sync, V: Aggregate>(
+/// the model's node count, `cfg` disagrees with the model's shape, or
+/// `cfg`'s phase-one budget does not fit in `usize` or overflows the
+/// slot schedule; propagates network construction errors.
+pub fn run_aggregation_cfg<CM: ChannelModel, V: Aggregate>(
     model: CM,
     values: Vec<V>,
     seed: u64,
@@ -144,8 +182,9 @@ pub fn run_aggregation_cfg<CM: ChannelModel + Sync, V: Aggregate>(
 /// # Errors
 ///
 /// Returns [`SimError::InvalidParams`] if `values.len()` differs from
-/// the model's node count or `cfg` disagrees with the model's shape,
-/// and propagates network construction errors.
+/// the model's node count, `cfg` disagrees with the model's shape, or
+/// `cfg`'s phase-one budget does not fit in `usize` or overflows the
+/// slot schedule; propagates network construction errors.
 pub fn run_aggregation_cfg_on<CM, V, Med>(
     model: CM,
     values: Vec<V>,
@@ -155,7 +194,7 @@ pub fn run_aggregation_cfg_on<CM, V, Med>(
     medium: Med,
 ) -> Result<(AggregationRun<V>, Med), SimError>
 where
-    CM: ChannelModel + Sync,
+    CM: ChannelModel,
     V: Aggregate,
     Med: crn_sim::Medium<CogCompMsg<V>>,
 {
@@ -165,6 +204,7 @@ where
             reason: format!("{} values supplied for {n} nodes", values.len()),
         });
     }
+    check_schedule(&cfg)?;
     if cfg.n != n || cfg.c != model.c() {
         return Err(SimError::InvalidParams {
             reason: format!(
@@ -182,9 +222,6 @@ where
     protos.extend(values.map(|v| CogComp::node(cfg, v)));
 
     let mut net = Network::with_medium(model, protos, seed, medium)?;
-    // Digest-identical at any worker count; engages only above the
-    // small-n threshold.
-    net.set_parallelism(crn_sim::ParConfig::auto());
     let outcome = net.run_to_completion(budget);
     let slots = outcome.slots();
     let (protos, medium) = net.into_parts();
@@ -237,8 +274,9 @@ impl<V> RepeatedAggregationRun<V> {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidParams`] for empty/ragged `rounds_values`
-/// or a node-count mismatch; propagates construction errors.
+/// Returns [`SimError::InvalidParams`] for empty/ragged `rounds_values`,
+/// a node-count mismatch, or an invalid `alpha` (as for
+/// [`run_aggregation`]); propagates construction errors.
 ///
 /// # Examples
 ///
@@ -259,7 +297,7 @@ impl<V> RepeatedAggregationRun<V> {
 /// assert_eq!(run.results[2], Some(Max(92)));
 /// # Ok::<(), crn_sim::SimError>(())
 /// ```
-pub fn run_repeated_aggregation<CM: ChannelModel + Sync, V: Aggregate>(
+pub fn run_repeated_aggregation<CM: ChannelModel, V: Aggregate>(
     model: CM,
     rounds_values: Vec<Vec<V>>,
     seed: u64,
@@ -277,7 +315,8 @@ pub fn run_repeated_aggregation<CM: ChannelModel + Sync, V: Aggregate>(
             reason: format!("every round needs exactly {n} values"),
         });
     }
-    let cfg = CogCompConfig::new(n, model.c(), model.k(), alpha).with_rounds(rounds as u32);
+    let cfg = checked_config(n, model.c(), model.k(), alpha)?.with_rounds(rounds as u32);
+    check_schedule(&cfg)?;
     // Transpose: per node, its per-round values.
     let mut per_node: Vec<Vec<V>> = (0..n).map(|_| Vec::with_capacity(rounds)).collect();
     for round in rounds_values {
@@ -294,7 +333,6 @@ pub fn run_repeated_aggregation<CM: ChannelModel + Sync, V: Aggregate>(
     protos.extend(per_node.map(|vs| CogComp::node_with_values(cfg, vs)));
 
     let mut net = Network::new(model, protos, seed)?;
-    net.set_parallelism(crn_sim::ParConfig::auto());
     let outcome = net.run_to_completion(cfg.recommended_budget());
     let slots = outcome.slots();
     let protos = net.into_protocols();
@@ -313,7 +351,7 @@ pub fn run_repeated_aggregation<CM: ChannelModel + Sync, V: Aggregate>(
 /// # Errors
 ///
 /// Same as [`run_aggregation`].
-pub fn run_aggregation_default<CM: ChannelModel + Sync, V: Aggregate>(
+pub fn run_aggregation_default<CM: ChannelModel, V: Aggregate>(
     model: CM,
     values: Vec<V>,
     seed: u64,
@@ -345,7 +383,7 @@ pub struct ConfirmedBroadcast {
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] from construction.
+/// As for [`run_aggregation`].
 ///
 /// # Examples
 ///
@@ -359,7 +397,7 @@ pub struct ConfirmedBroadcast {
 /// assert_eq!(out.reached, 12);
 /// # Ok::<(), crn_sim::SimError>(())
 /// ```
-pub fn run_confirmed_broadcast<CM: ChannelModel + Sync>(
+pub fn run_confirmed_broadcast<CM: ChannelModel>(
     model: CM,
     seed: u64,
     alpha: f64,
@@ -389,6 +427,39 @@ mod tests {
         let model = StaticChannels::local(shared_core(n, c, k).unwrap(), seed);
         let values: Vec<Sum> = (0..n as u64).map(Sum).collect();
         run_aggregation(model, values, seed, bounds::DEFAULT_ALPHA).unwrap()
+    }
+
+    #[test]
+    fn invalid_alpha_is_an_error_not_a_panic_or_a_wrong_result() {
+        let run = |alpha: f64| {
+            let model = StaticChannels::local(shared_core(4, 4, 2).unwrap(), 1);
+            let values: Vec<Sum> = (0..4).map(Sum).collect();
+            run_aggregation(model, values, 1, alpha)
+        };
+        for alpha in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e30] {
+            match run(alpha) {
+                Err(SimError::InvalidParams { reason }) => assert!(reason.contains("alpha")),
+                other => panic!("alpha {alpha}: expected InvalidParams, got {other:?}"),
+            }
+        }
+        let model = StaticChannels::local(shared_core(4, 4, 2).unwrap(), 1);
+        let rounds = vec![(0..4).map(Max).collect::<Vec<_>>()];
+        assert!(matches!(
+            run_repeated_aggregation(model, rounds, 1, f64::NAN),
+            Err(SimError::InvalidParams { .. })
+        ));
+        let cfg = CogCompConfig {
+            phase1_slots: u64::MAX,
+            ..CogCompConfig::new(4, 4, 2, 1.0)
+        };
+        assert_eq!(cfg.checked_budget(), None);
+        let model = StaticChannels::local(shared_core(4, 4, 2).unwrap(), 1);
+        let values: Vec<Sum> = (0..4).map(Sum).collect();
+        assert!(matches!(
+            run_aggregation_cfg(model, values, 1, cfg, 100),
+            Err(SimError::InvalidParams { .. })
+        ));
+        assert_eq!(run(1.0).unwrap().result, Some(Sum(6)));
     }
 
     #[test]

@@ -27,6 +27,13 @@ use crn_sim::{Action, Event, LocalChannel, NodeCtx, NodeId, Protocol};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Phase-one records reserved up front: the whole phase for any
+/// realistic schedule, but never an allocation a huge `alpha` could
+/// make fail before the run starts (longer phases grow on demand).
+fn p1_capacity(phase1_slots: u64) -> usize {
+    usize::try_from(phase1_slots).map_or(0, |l| l.min(1 << 16))
+}
+
 /// The role a node holds for the duration of one phase-four step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StepRole {
@@ -136,7 +143,7 @@ impl<V: Aggregate> CogComp<V> {
             results: Vec::new(),
             acc,
             informed: None,
-            p1_records: Vec::with_capacity(cfg.phase1_slots as usize),
+            p1_records: Vec::with_capacity(p1_capacity(cfg.phase1_slots)),
             pending_channel: LocalChannel(0),
             phase2_ready: false,
             census_sent: false,

@@ -112,7 +112,7 @@ pub struct HopTogetherRun {
 /// assert!(run.slots.is_some());
 /// # Ok::<(), crn_sim::SimError>(())
 /// ```
-pub fn run_hop_together<CM: ChannelModel + Sync>(
+pub fn run_hop_together<CM: ChannelModel>(
     model: CM,
     seed: u64,
     budget: u64,
@@ -140,7 +140,7 @@ pub fn run_hop_together_on<CM, Med>(
     medium: Med,
 ) -> Result<(HopTogetherRun, Med), SimError>
 where
-    CM: ChannelModel + Sync,
+    CM: ChannelModel,
     Med: crn_sim::Medium<()>,
 {
     if !model.labels_are_global() {
@@ -154,9 +154,6 @@ where
     protos.push(HopTogether::source((), total));
     protos.extend((1..n).map(|_| HopTogether::node(total)));
     let mut net = Network::with_medium(model, protos, seed, medium)?;
-    // Digest-identical at any worker count; `all_done` is O(1) here
-    // thanks to the engine's fused doneness tally.
-    net.set_parallelism(crn_sim::ParConfig::auto());
     let slots = net.run(budget, |net| net.all_done()).slots();
     Ok((HopTogetherRun { slots, budget }, net.into_medium()))
 }

@@ -37,131 +37,28 @@ use crate::pool::WorkerPool;
 use crate::proto::{Action, Event, NodeCtx, Protocol};
 use crate::rng::{derive_rng, streams, SimRng};
 use crate::trace::SlotActivity;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Default minimum network size before [`Network::step`] fans its
-/// per-node phases across the worker pool. Below this, per-slot
-/// synchronization (wake + barrier, on the order of microseconds)
-/// costs more than the per-node work it would parallelize; tiny
-/// networks therefore keep the exact sequential path.
+/// Kept only so the frozen `perfbench/` package compiles; the engine ignores it.
+#[doc(hidden)]
 pub const DEFAULT_PAR_THRESHOLD: usize = 256;
 
-/// Intra-slot parallelism configuration: which [`WorkerPool`] the
-/// engine fans its per-node decide/observe phases across, and from
-/// what network size ([`DEFAULT_PAR_THRESHOLD`] by default).
-///
-/// Installing one never changes results: every golden-trace digest is
-/// reproduced bit-for-bit at any worker count, because the
-/// parallelized phases are order-free (each node touches only its own
-/// RNG lane and its own index-keyed slots) while winner draws stay
-/// serialized on the ENGINE stream and jamming on the JAMMER stream.
-/// See DESIGN.md "Threading model".
+/// Kept only so the frozen `perfbench/` package compiles; the engine ignores it.
+#[doc(hidden)]
 #[derive(Clone, Debug)]
-pub struct ParConfig {
-    pool: Arc<WorkerPool>,
-    threshold: usize,
-}
+pub struct ParConfig(());
 
 impl ParConfig {
-    /// Parallelism over an explicit pool, at the default threshold.
-    pub fn new(pool: Arc<WorkerPool>) -> Self {
-        ParConfig {
-            pool,
-            threshold: DEFAULT_PAR_THRESHOLD,
-        }
+    /// Kept only so the frozen `perfbench/` package compiles.
+    #[doc(hidden)]
+    pub fn new(_pool: Arc<WorkerPool>) -> Self {
+        ParConfig(())
     }
 
-    /// Parallelism over the process-wide shared pool
-    /// ([`crate::pool::global`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `CRN_THREADS` is set to an invalid value (binaries
-    /// validate via [`crate::pool::configured_workers`] first).
-    pub fn global() -> Self {
-        Self::new(crate::pool::global())
-    }
-
-    /// [`ParConfig::global`], but `None` when the global pool has a
-    /// single worker — callers can skip installing a configuration
-    /// that could never engage.
+    /// Kept only so the frozen `perfbench/` package compiles; always `None`.
+    #[doc(hidden)]
     pub fn auto() -> Option<Self> {
-        let pool = crate::pool::global();
-        (pool.workers() > 1).then(|| Self::new(pool))
-    }
-
-    /// Replaces the small-`n` sequential-fallback threshold (networks
-    /// with fewer nodes step sequentially). `0`/`1` parallelizes
-    /// everything — useful in differential tests, wasteful otherwise.
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: usize) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Total worker count of the underlying pool.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// The small-`n` sequential-fallback threshold.
-    pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
-    /// True when stepping an `n`-node network should use the pool.
-    fn engaged(&self, n: usize) -> bool {
-        self.pool.workers() > 1 && n >= self.threshold
-    }
-
-    /// Chunk size for an `n`-node fan-out: a few chunks per worker for
-    /// stealing slack, but never so small that claim traffic dominates.
-    fn chunk(&self, n: usize) -> usize {
-        (n / (self.pool.workers() * 4)).max(16)
-    }
-
-    /// Fans `f` over `0..n` across the pool with this config's
-    /// chunking, blocking until every index is processed.
-    fn pool_run(&self, n: usize, f: &(dyn Fn(usize, usize) + Sync)) {
-        self.pool.run(n, self.chunk(n), f);
-    }
-}
-
-/// A raw pointer that asserts cross-thread shareability.
-///
-/// Used by the parallel step phases to hand per-node buffer bases to
-/// pool workers without widening [`Network::step`]'s bounds. Soundness
-/// is enforced at install time: the only ways to set `Network::par`
-/// ([`NetworkBuilder::parallelism`], [`Network::set_parallelism`])
-/// require `P: Send`, `M: Send`, `CM: Sync`, and every worker touches
-/// a disjoint index range.
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-
-// SAFETY: see the struct docs — disjoint-range access to buffers whose
-// element types were proven Send/Sync at `ParConfig` install time.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: as above.
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// The `i`-th element's address. Accessed through a method so
-    /// closures capture the `SendPtr` wrapper (which is `Sync`), not
-    /// the raw pointer field (which is not).
-    ///
-    /// # Safety
-    ///
-    /// `i` must be in bounds of the underlying buffer, and the caller
-    /// must hold exclusive access to that element.
-    unsafe fn at(&self, i: usize) -> *mut T {
-        self.0.add(i)
-    }
-
-    /// The base address as a shared read-only pointer (same capture
-    /// rationale as [`SendPtr::at`]).
-    fn as_const(&self) -> *const T {
-        self.0
+        None
     }
 }
 
@@ -238,7 +135,6 @@ pub struct NetworkBuilder<M, P, CM, Med = OracleSingleHop> {
     seed: u64,
     interference: Option<Box<dyn Interference>>,
     medium: Med,
-    par: Option<ParConfig>,
     _marker: std::marker::PhantomData<M>,
 }
 
@@ -257,7 +153,6 @@ where
             seed: 0,
             interference: None,
             medium: OracleSingleHop::new(),
-            par: None,
             _marker: std::marker::PhantomData,
         }
     }
@@ -308,28 +203,8 @@ where
             seed: self.seed,
             interference: self.interference,
             medium,
-            par: self.par,
             _marker: std::marker::PhantomData,
         }
-    }
-
-    /// Enables intra-slot parallelism: the built network fans its
-    /// per-node decide/observe phases across `cfg`'s pool (for
-    /// networks at or above the configured threshold). Results are
-    /// bit-identical to sequential stepping at any worker count.
-    ///
-    /// The bounds make the sharing sound: protocol state (`P`) and
-    /// actions/events (`M`) move to pool threads, and the channel
-    /// model (`CM`) is read concurrently.
-    #[must_use]
-    pub fn parallelism(mut self, cfg: ParConfig) -> Self
-    where
-        P: Send,
-        M: Send,
-        CM: Sync,
-    {
-        self.par = Some(cfg);
-        self
     }
 
     /// Builds the network.
@@ -339,16 +214,13 @@ where
     /// Returns [`SimError::ProtocolCountMismatch`] if the number of
     /// protocols differs from the model's node count.
     pub fn build(self) -> Result<Network<M, P, CM, Med>, SimError> {
-        let mut net = Network::assemble(
+        Network::assemble(
             self.model,
             self.protocols,
             self.seed,
             self.interference,
             self.medium,
-        )?;
-        // Sound: `parallelism()` carried the Send/Sync bounds.
-        net.par = self.par;
-        Ok(net)
+        )
     }
 }
 
@@ -406,7 +278,6 @@ pub struct Network<M, P, CM, Med = OracleSingleHop> {
     /// first slot and after [`Network::step_unrecorded`].
     recorded: bool,
     scratch: Scratch<M>,
-    par: Option<ParConfig>,
     /// Number of protocols reporting done as of the last executed
     /// slot; `None` when stale (before the first step, or after
     /// `protocols_mut` handed out mutable state). Makes `all_done`
@@ -434,10 +305,6 @@ struct Scratch<M> {
     tuned: Vec<(crate::ids::GlobalChannel, usize, bool)>,
     /// Phase C/D: per node, the event to observe (`None` = sleeper).
     events: Vec<Option<Event<M>>>,
-    /// Phase D (parallel path): per-chunk doneness tallies accumulate
-    /// here; the barrier at the end of the fan-out orders the final
-    /// read, so `Relaxed` operations suffice.
-    done_count: AtomicUsize,
 }
 
 impl<M> Default for Scratch<M> {
@@ -448,7 +315,6 @@ impl<M> Default for Scratch<M> {
             intents: Vec::new(),
             tuned: Vec::new(),
             events: Vec::new(),
-            done_count: AtomicUsize::new(0),
         }
     }
 }
@@ -546,7 +412,6 @@ where
             activity: SlotActivity::default(),
             recorded: false,
             scratch: Scratch::default(),
-            par: None,
             done_cache: None,
             _marker: std::marker::PhantomData,
         })
@@ -621,22 +486,9 @@ where
         &mut self.protocols
     }
 
-    /// Installs (or, with `None`, removes) intra-slot parallelism; see
-    /// [`NetworkBuilder::parallelism`] for the determinism guarantee
-    /// and why the bounds are required.
-    pub fn set_parallelism(&mut self, cfg: Option<ParConfig>)
-    where
-        P: Send,
-        M: Send,
-        CM: Sync,
-    {
-        self.par = cfg;
-    }
-
-    /// The installed parallelism configuration, if any.
-    pub fn parallelism(&self) -> Option<&ParConfig> {
-        self.par.as_ref()
-    }
+    /// Kept only so the frozen `perfbench/` package compiles; a no-op.
+    #[doc(hidden)]
+    pub fn set_parallelism(&mut self, _cfg: Option<ParConfig>) {}
 
     /// The activity record of the most recently executed slot, if it
     /// has one: `Some` right after [`Network::step`], `None` before the
@@ -706,82 +558,30 @@ where
             intf.advance(slot, &mut self.jam_rng);
         }
 
-        // Whether this slot's per-node phases (A and D) fan out across
-        // the worker pool. Decided once so both phases agree; phases B
-        // and C always stay serial — jamming consumes the JAMMER
-        // stream and winner draws the ENGINE stream in fixed order, so
-        // digests are identical at any worker count.
-        let par_engaged = self.par.as_ref().is_some_and(|cfg| cfg.engaged(n));
-
         // Phase A: collect decisions.
         self.scratch.actions.clear();
-        if par_engaged {
-            let cfg = self.par.as_ref().unwrap();
-            // Placeholders so every worker writes its own index-keyed
-            // slot; `Sleep` carries no payload, so overwriting is a
-            // trivial drop.
-            self.scratch.actions.resize_with(n, || Action::Sleep);
-            let actions = SendPtr(self.scratch.actions.as_mut_ptr());
-            let protocols = SendPtr(self.protocols.as_mut_ptr());
-            let rngs = SendPtr(self.node_rngs.as_mut_ptr());
-            let model = SendPtr(std::ptr::from_ref(&self.model).cast_mut());
-            cfg.pool_run(n, &|start, end| {
-                // SAFETY: each index `i` is visited by exactly one
-                // worker (the pool partitions `0..n` into disjoint
-                // ranges), so `protocols[i]`, `node_rngs[i]`, and
-                // `actions[i]` are exclusively owned here; the model
-                // is only read (`CM: Sync` proven at install).
-                let model = unsafe { &*model.as_const() };
-                for i in start..end {
-                    let c_i = model.c_of(i);
-                    let ctx = NodeCtx {
-                        id: NodeId(i as u32),
-                        slot,
-                        n,
-                        c: c_i,
-                        k,
-                        channels: if global_labels {
-                            Some(model.channels(i))
-                        } else {
-                            None
-                        },
-                    };
-                    let proto = unsafe { &mut *protocols.at(i) };
-                    let rng = unsafe { &mut *rngs.at(i) };
-                    let action = proto.decide(&ctx, rng);
-                    if let Some(ch) = action.channel() {
-                        assert!(
-                            ch.index() < c_i,
-                            "protocol bug: node {i} chose local channel {ch} but c = {c_i}"
-                        );
-                    }
-                    unsafe { *actions.at(i) = action };
-                }
-            });
-        } else {
-            for i in 0..n {
-                let c_i = self.model.c_of(i);
-                let ctx = NodeCtx {
-                    id: NodeId(i as u32),
-                    slot,
-                    n,
-                    c: c_i,
-                    k,
-                    channels: if global_labels {
-                        Some(self.model.channels(i))
-                    } else {
-                        None
-                    },
-                };
-                let action = self.protocols[i].decide(&ctx, &mut self.node_rngs[i]);
-                if let Some(ch) = action.channel() {
-                    assert!(
-                        ch.index() < c_i,
-                        "protocol bug: node {i} chose local channel {ch} but c = {c_i}"
-                    );
-                }
-                self.scratch.actions.push(action);
+        for i in 0..n {
+            let c_i = self.model.c_of(i);
+            let ctx = NodeCtx {
+                id: NodeId(i as u32),
+                slot,
+                n,
+                c: c_i,
+                k,
+                channels: if global_labels {
+                    Some(self.model.channels(i))
+                } else {
+                    None
+                },
+            };
+            let action = self.protocols[i].decide(&ctx, &mut self.node_rngs[i]);
+            if let Some(ch) = action.channel() {
+                assert!(
+                    ch.index() < c_i,
+                    "protocol bug: node {i} chose local channel {ch} but c = {c_i}"
+                );
             }
+            self.scratch.actions.push(action);
         }
 
         // Phase B: translate to global channels, show the committed
@@ -877,68 +677,27 @@ where
         // Phase D: deliver observations (sleepers observe nothing),
         // fused with a doneness tally so `all_done` is O(1) in run
         // loops instead of an O(n) rescan every slot.
-        let done_count = if par_engaged {
-            let cfg = self.par.as_ref().unwrap();
-            let events = SendPtr(self.scratch.events.as_mut_ptr());
-            let protocols = SendPtr(self.protocols.as_mut_ptr());
-            let model = SendPtr(std::ptr::from_ref(&self.model).cast_mut());
-            let tally = &self.scratch.done_count;
-            tally.store(0, Ordering::Relaxed);
-            cfg.pool_run(n, &|start, end| {
-                // SAFETY: disjoint index ranges, as in Phase A; events
-                // are taken (moved out) by the one worker owning `i`.
-                let model = unsafe { &*model.as_const() };
-                let mut local_done = 0usize;
-                for i in start..end {
-                    let proto = unsafe { &mut *protocols.at(i) };
-                    if let Some(event) = unsafe { &mut *events.at(i) }.take() {
-                        let ctx = NodeCtx {
-                            id: NodeId(i as u32),
-                            slot,
-                            n,
-                            c: model.c_of(i),
-                            k,
-                            channels: if global_labels {
-                                Some(model.channels(i))
-                            } else {
-                                None
-                            },
-                        };
-                        proto.observe(&ctx, event);
-                    }
-                    if proto.is_done() {
-                        local_done += 1;
-                    }
-                }
-                // Relaxed suffices: the pool's barrier orders this
-                // against the load below.
-                tally.fetch_add(local_done, Ordering::Relaxed);
-            });
-            tally.load(Ordering::Relaxed)
-        } else {
-            let mut done = 0usize;
-            for i in 0..n {
-                if let Some(event) = self.scratch.events[i].take() {
-                    let ctx = NodeCtx {
-                        id: NodeId(i as u32),
-                        slot,
-                        n,
-                        c: self.model.c_of(i),
-                        k,
-                        channels: if global_labels {
-                            Some(self.model.channels(i))
-                        } else {
-                            None
-                        },
-                    };
-                    self.protocols[i].observe(&ctx, event);
-                }
-                if self.protocols[i].is_done() {
-                    done += 1;
-                }
+        let mut done_count = 0usize;
+        for i in 0..n {
+            if let Some(event) = self.scratch.events[i].take() {
+                let ctx = NodeCtx {
+                    id: NodeId(i as u32),
+                    slot,
+                    n,
+                    c: self.model.c_of(i),
+                    k,
+                    channels: if global_labels {
+                        Some(self.model.channels(i))
+                    } else {
+                        None
+                    },
+                };
+                self.protocols[i].observe(&ctx, event);
             }
-            done
-        };
+            if self.protocols[i].is_done() {
+                done_count += 1;
+            }
+        }
         self.done_cache = Some(done_count);
 
         // With the `validate` feature, every slot is checked against the
@@ -1368,81 +1127,6 @@ mod tests {
         assert!(!outcome.is_done());
     }
 
-    /// Test protocol exercising the per-node RNG lane: hops uniformly,
-    /// broadcasts ~30% of slots, records every event.
-    struct RandomHopper {
-        events: Vec<Event<u32>>,
-    }
-
-    impl Protocol<u32> for RandomHopper {
-        fn decide(&mut self, ctx: &NodeCtx<'_>, rng: &mut SimRng) -> Action<u32> {
-            use rand::Rng;
-            let ch = LocalChannel(rng.gen_range(0..ctx.c as u32));
-            if rng.gen_bool(0.3) {
-                Action::Broadcast(ch, ctx.id.0)
-            } else {
-                Action::Listen(ch)
-            }
-        }
-        fn observe(&mut self, _ctx: &NodeCtx<'_>, event: Event<u32>) {
-            self.events.push(event);
-        }
-    }
-
-    #[test]
-    fn parallel_stepping_reproduces_sequential_events_exactly() {
-        let run = |par: Option<ParConfig>| -> Vec<Vec<Event<u32>>> {
-            let model = StaticChannels::local(shared_core(24, 6, 3).unwrap(), 5);
-            let protos = (0..24)
-                .map(|_| RandomHopper { events: Vec::new() })
-                .collect();
-            let mut net = Network::new(model, protos, 42).unwrap();
-            net.set_parallelism(par);
-            net.run_slots(40);
-            net.into_protocols().into_iter().map(|p| p.events).collect()
-        };
-        let sequential = run(None);
-        for workers in [1, 2, 3, 8] {
-            let cfg = ParConfig::new(Arc::new(WorkerPool::new(workers))).with_threshold(1);
-            assert_eq!(
-                run(Some(cfg)),
-                sequential,
-                "parallel run diverged at {workers} workers"
-            );
-        }
-    }
-
-    #[test]
-    fn below_threshold_networks_step_sequentially() {
-        // Same pool, threshold above n: the parallel machinery must not
-        // engage, and results are (trivially) identical.
-        let model = StaticChannels::local(shared_core(8, 4, 2).unwrap(), 3);
-        let protos = (0..8)
-            .map(|_| RandomHopper { events: Vec::new() })
-            .collect();
-        let mut net = Network::new(model, protos, 9).unwrap();
-        let cfg = ParConfig::new(Arc::new(WorkerPool::new(4)));
-        assert_eq!(cfg.threshold(), DEFAULT_PAR_THRESHOLD);
-        assert!(!cfg.engaged(8));
-        net.set_parallelism(Some(cfg));
-        net.run_slots(10);
-        assert_eq!(net.slot(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "protocol bug")]
-    fn out_of_range_local_channel_panics_in_parallel_phase() {
-        let model = StaticChannels::global(full_overlap(8, 1).unwrap());
-        let protos = (0..8)
-            .map(|_| Scripted::new(vec![Action::Listen(LocalChannel(5))]))
-            .collect();
-        let mut net = Network::new(model, protos, 1).unwrap();
-        net.set_parallelism(Some(
-            ParConfig::new(Arc::new(WorkerPool::new(2))).with_threshold(1),
-        ));
-        net.step();
-    }
-
     /// Done once `decide` has been called `target` times.
     struct DoneAfter {
         target: u32,
@@ -1487,32 +1171,5 @@ mod tests {
             !net.all_done(),
             "protocols_mut must invalidate the done cache"
         );
-    }
-
-    #[test]
-    fn parallel_done_tally_agrees_with_scan() {
-        let make = |par: Option<ParConfig>| {
-            let model = StaticChannels::global(full_overlap(16, 1).unwrap());
-            let protos = (0..16)
-                .map(|i| DoneAfter {
-                    target: 3 + (i % 4) as u32,
-                    decides: 0,
-                })
-                .collect();
-            let mut net = Network::<u32, _, _>::new(model, protos, 0).unwrap();
-            net.set_parallelism(par);
-            net
-        };
-        let cfg = ParConfig::new(Arc::new(WorkerPool::new(3))).with_threshold(1);
-        let mut seq = make(None);
-        let mut par = make(Some(cfg));
-        for _ in 0..8 {
-            seq.step();
-            par.step();
-            assert_eq!(seq.all_done(), par.all_done());
-            let scan = par.protocols().iter().all(|p| p.is_done());
-            assert_eq!(par.all_done(), scan, "cached tally must match a fresh scan");
-        }
-        assert!(par.all_done());
     }
 }

@@ -1,30 +1,29 @@
-//! A persistent scoped worker pool for intra-trial parallelism.
+//! A persistent scoped worker pool for running independent trials in
+//! parallel.
 //!
 //! [`WorkerPool`] owns a fixed set of parked OS threads (spawned once,
-//! reused across every slot of every trial — no per-slot spawns) and
-//! exposes one operation: [`WorkerPool::run`], which fans an
-//! index-range job `f(start, end)` across the pool via atomic chunk
-//! claiming and blocks until every worker has quiesced (barrier
-//! handoff). The caller participates as one worker, so a pool of `w`
-//! workers spawns only `w - 1` threads and `w == 1` spawns none and
-//! runs jobs inline with zero synchronization.
+//! reused across every job — no per-job spawns) and exposes one
+//! operation: [`WorkerPool::run`], which fans an index-range job
+//! `f(start, end)` across the pool via atomic chunk claiming and
+//! blocks until every worker has quiesced (barrier handoff). The
+//! caller participates as one worker, so a pool of `w` workers spawns
+//! only `w - 1` threads and `w == 1` spawns none and runs jobs inline
+//! with zero synchronization.
 //!
 //! Design constraints (see DESIGN.md "Threading model"):
 //!
-//! - **Determinism is the engine's job, not the pool's.** The pool
+//! - **Determinism is the caller's job, not the pool's.** The pool
 //!   guarantees only that every index in `0..total` is processed
-//!   exactly once, by exactly one worker. [`crate::Network::step`]
-//!   keeps digests bit-identical at any worker count because the
-//!   phases it parallelizes are order-free (each node touches only its
-//!   own RNG lane and its own index-keyed slots).
-//! - **Allocation-free steady state.** Submitting a job publishes a
-//!   raw fat pointer under a mutex and bumps an epoch; nothing is
-//!   boxed or queued, so `run` performs no heap allocation (enforced
-//!   by `crates/sim/tests/alloc.rs`).
+//!   exactly once, by exactly one worker. `par_trials` in `crn-bench`
+//!   keys each result by its trial seed, so results are identical at
+//!   any worker count; each trial steps its [`crate::Network`] on one
+//!   thread.
+//! - **No per-job boxing.** Submitting a job publishes a raw fat
+//!   pointer under a mutex and bumps an epoch; nothing is boxed or
+//!   queued.
 //! - **Nesting never oversubscribes.** A `run` issued from inside a
-//!   pool worker (parallel trials × parallel slots) or while another
-//!   job is in flight executes inline on the calling thread, so the
-//!   process shares one core budget.
+//!   pool worker or while another job is in flight executes inline on
+//!   the calling thread, so the process shares one core budget.
 //!
 //! The process-wide pool ([`global`]) is sized by the strictly
 //! validated `CRN_THREADS` environment variable (or `--threads` via
@@ -415,8 +414,7 @@ pub fn init_from_flag(flag: Option<&str>) -> Result<(), String> {
 }
 
 /// The process-wide shared pool, created on first use and sized by
-/// [`configured_workers`]. Shared by the engine's parallel slot phases
-/// and `par_trials`, so nested use draws from one core budget.
+/// [`configured_workers`]. `par_trials` runs its trials on it.
 ///
 /// # Panics
 ///

@@ -4,7 +4,7 @@
 //! warm-up period long enough for every scratch buffer and recycled
 //! [`ChannelActivity`] record to reach its high-water capacity, stepping
 //! the network must perform zero heap allocations — with and without an
-//! interference model installed, on the worker pool, record-free
+//! interference model installed, record-free
 //! ([`Network::step_unrecorded`]) on a channel space far larger than
 //! the network, and on the decay-backoff medium ([`PhysicalDecay`]),
 //! with and without records.
@@ -143,22 +143,6 @@ fn step_is_allocation_free_in_steady_state() {
             jammed_net.step();
         },
         "with interference",
-    );
-
-    // Parallel path: a dedicated 2-worker pool at threshold 1, so every
-    // step fans decide/observe across the pool. The pool's threads and
-    // job plumbing are built up front (and the warm-up absorbs any
-    // first-epoch laziness); the steady-state contract is the same zero
-    // as the sequential path — no per-slot spawns, boxes or channels.
-    let model = StaticChannels::local(shared_core(n, 8, 2).unwrap(), 13);
-    let mut par_net = Network::new(model, hopper_protos(n), 13).unwrap();
-    let pool = std::sync::Arc::new(crn_sim::WorkerPool::new(2));
-    par_net.set_parallelism(Some(crn_sim::ParConfig::new(pool).with_threshold(1)));
-    assert_steady_state_alloc_free(
-        || {
-            par_net.step();
-        },
-        "parallel (2 workers)",
     );
 
     // Record-free stepping where C >> n: shared_core(1024, 8, 2) has
