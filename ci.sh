@@ -11,9 +11,11 @@
 #   5. a quick-effort end-to-end run of every experiment (smoke test
 #      for the harness + engine on real workloads; ~1 s)
 #   6. the differential model-conformance suite, quick profile (the
-#      Section 2 validator over property-generated workloads plus the
-#      oracle-vs-physical and oracle-vs-multihop cross-checks, and the
-#      medium sweep running the validator over all three media)
+#      Section 2 validator over property-generated workloads, the
+#      oracle-vs-physical cross-check, the oracle-vs-multihop check
+#      that the multihop medium on a complete topology reproduces the
+#      oracle's slot count in every trial, and the medium sweep running
+#      the validator over all three media)
 #   7. the same experiment smoke with the in-step validator compiled
 #      in (--features validate), so every slot of every experiment is
 #      checked against the model contract end to end
@@ -22,7 +24,10 @@
 #   9. every experiment at full effort (~4 s), diffed against the
 #      recorded tables in results/experiments-full.md; the
 #      "[<id> completed in …]" timing lines are ignored
-#  10. the benchmark package (perfbench/, its own workspace) built and
+#  10. every example under examples/, built in release and run (~0.1 s)
+#  11. the ignored large-scale stress tests (tests/stress.rs) in release
+#      (well under a second once built)
+#  12. the benchmark package (perfbench/, its own workspace) built and
 #      its transparency test run: the benchmark reads the engine only
 #      through its public API (Medium::resolve filling channel records,
 #      Network::step, WorkerPool, and the hidden no-op set_parallelism
@@ -70,6 +75,16 @@ if ! diff <(strip_footers results/experiments-full.md) <(strip_footers "$tmp"); 
     echo "the tables differ from results/experiments-full.md (diff above)" >&2
     exit 1
 fi
+
+echo "==> examples (release)"
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "  -> $name"
+    cargo run --release -q --example "$name" > /dev/null
+done
+
+echo "==> stress tests (release, ignored by default)"
+cargo test --release -q --test stress -- --ignored
 
 echo "==> perfbench: build and transparency test"
 (cd perfbench && cargo test --release -q)

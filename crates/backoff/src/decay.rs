@@ -25,10 +25,9 @@
 use crn_sim::medium::decay_episode;
 pub use crn_sim::medium::{epoch_len, recommended_rounds};
 use crn_sim::{SimError, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// The result of resolving one contention episode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContentionResult {
     /// The station whose message got through.
     pub winner: usize,

@@ -204,15 +204,13 @@ fn bench_ablations(cr: &mut Criterion) {
     });
 
     cr.bench_function("f15_multihop_flood", |b| {
-        use crn_multihop::{run_flood, Topology};
+        use crn_core::cogcast::run_broadcast_on;
+        use crn_sim::{OracleMultihop, Topology};
         b.iter(|| {
             let s = next();
             let model = StaticChannels::local(shared_core(16, 4, 2).unwrap(), s);
-            black_box(
-                run_flood(Topology::grid(4, 4), model, s, BUDGET)
-                    .unwrap()
-                    .slots,
-            )
+            let medium = OracleMultihop::new(Topology::grid(4, 4));
+            black_box(run_broadcast_on(model, s, BUDGET, medium).unwrap().0.slots)
         })
     });
 

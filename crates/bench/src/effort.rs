@@ -1,11 +1,10 @@
 //! Effort levels and the parallel trial runner.
 
 use crn_sim::pool::{self, RunMode, WorkerPool};
-use serde::{Deserialize, Serialize};
 use std::cell::UnsafeCell;
 
 /// How much work an experiment invocation spends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
     /// Reduced trials/grids: seconds per experiment. Used by the
     /// Criterion benches and `experiments --quick`.

@@ -295,7 +295,8 @@ pub fn f16(effort: Effort) -> Table {
 /// diameter at fixed `n` (the message pays one single-hop epoch per
 /// hop, so completion tracks the diameter).
 pub fn f15(effort: Effort) -> Table {
-    use crn_multihop::{run_flood, Topology};
+    use crn_core::cogcast::run_broadcast_on;
+    use crn_sim::{OracleMultihop, Topology};
     let (n, c, k) = (16usize, 4usize, 2usize);
     let trials = effort.trials(15);
     let mut t = Table::new(
@@ -312,10 +313,10 @@ pub fn f15(effort: Effort) -> Table {
         let diameter = topo.diameter().expect("connected");
         let mean = mean_slots(trials, |seed| {
             let model = StaticChannels::local(shared_core(n, c, k).expect("valid"), seed);
-            run_flood(topo.clone(), model, seed, MEASURE_BUDGET)
-                .expect("construct")
-                .slots
-                .expect("completes")
+            let medium = OracleMultihop::new(topo.clone());
+            let (run, _) =
+                run_broadcast_on(model, seed, MEASURE_BUDGET, medium).expect("construct");
+            run.slots.expect("completes")
         });
         t.push_row(vec![
             name.to_string(),

@@ -4,31 +4,22 @@
 use crate::args::Opts;
 use crn_core::aggregate::{Count, Max, MeanAcc, Min, Sum};
 use crn_core::bounds;
-use crn_core::cogcast::run_broadcast;
+use crn_core::cogcast::{run_broadcast, run_broadcast_on};
 use crn_core::cogcomp::run_aggregation;
 use crn_jamming::{run_jammed_broadcast, JammerStrategy};
 use crn_lowerbounds::players::{play, FreshPlayer, Player, UniformPlayer};
 use crn_lowerbounds::HittingGame;
-use crn_multihop::{run_flood, Topology};
 use crn_rendezvous::deterministic::jump_stay_rendezvous_slots;
 use crn_rendezvous::pairwise::rendezvous_slots;
 use crn_sim::assignment::OverlapPattern;
 use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
 use crn_sim::rng::derive_rng;
+use crn_sim::{OracleMultihop, PhysicalDecay, Topology};
 use crn_stats::Summary;
 use rand::SeedableRng;
 use std::fmt::Write as _;
 
 const BUDGET: u64 = 100_000_000;
-
-/// Applies the `--threads` flag (or the `CRN_THREADS` env override) to
-/// the process-wide worker pool before a command runs. The flag wins
-/// over the env; both are strictly validated — a bad value is an error,
-/// never a silent default, mirroring the unknown-flag policy.
-fn init_threads(opts: &Opts) -> Result<(), String> {
-    let flag = opts.has("threads").then(|| opts.get_str("threads", ""));
-    crn_sim::pool::init_from_flag(flag.as_deref())
-}
 
 fn pattern_by_name(name: &str) -> Result<OverlapPattern, String> {
     OverlapPattern::ALL
@@ -51,18 +42,17 @@ fn trials(opts: &Opts, default: usize) -> Result<usize, String> {
     }
 }
 
-fn shape(opts: &Opts) -> Result<(usize, usize, usize, u64, usize), String> {
+fn shape(opts: &Opts) -> Result<(usize, usize, usize, u64), String> {
     let n = opts.get("n", 32usize)?;
     let c = opts.get("c", 8usize)?;
     let k = opts.get("k", 2usize)?;
     let seed = opts.get("seed", 1u64)?;
-    let trials = trials(opts, 10)?;
     if n == 0 || c == 0 || k == 0 || k > c {
         return Err(format!(
             "need n,c >= 1 and 1 <= k <= c (n={n}, c={c}, k={k})"
         ));
     }
-    Ok((n, c, k, seed, trials))
+    Ok((n, c, k, seed))
 }
 
 fn summary_line(label: &str, slots: &[u64]) -> String {
@@ -125,7 +115,6 @@ fn broadcast_on_medium<CM: crn_sim::ChannelModel>(
     medium: MediumChoice,
     physical_rounds: &mut u64,
 ) -> Result<crn_core::cogcast::BroadcastRun, String> {
-    use crn_core::cogcast::run_broadcast_on;
     let n = model.n();
     match medium {
         MediumChoice::Oracle => run_broadcast(model, seed, BUDGET).map_err(|e| e.to_string()),
@@ -133,12 +122,12 @@ fn broadcast_on_medium<CM: crn_sim::ChannelModel>(
             model,
             seed,
             BUDGET,
-            crn_sim::OracleMultihop::new(crn_sim::Topology::complete(n)),
+            OracleMultihop::new(Topology::complete(n)),
         )
         .map(|(run, _)| run)
         .map_err(|e| e.to_string()),
         MediumChoice::Physical => {
-            let (run, med) = run_broadcast_on(model, seed, BUDGET, crn_sim::PhysicalDecay::new())
+            let (run, med) = run_broadcast_on(model, seed, BUDGET, PhysicalDecay::new())
                 .map_err(|e| e.to_string())?;
             *physical_rounds += med.physical_rounds();
             Ok(run)
@@ -151,11 +140,11 @@ pub fn broadcast(opts: &Opts) -> Result<String, String> {
     opts.expect_keys(
         "broadcast",
         &[
-            "n", "c", "k", "seed", "trials", "pattern", "churn", "medium", "threads",
+            "n", "c", "k", "seed", "trials", "pattern", "churn", "medium",
         ],
     )?;
-    init_threads(opts)?;
-    let (n, c, k, seed, trials) = shape(opts)?;
+    let (n, c, k, seed) = shape(opts)?;
+    let trials = trials(opts, 10)?;
     let pattern = pattern_by_name(&opts.get_str("pattern", "shared-core"))?;
     let medium = medium_by_name(&opts.get_str("medium", "oracle"))?;
     let churn = opts.get("churn", 0.0f64)?;
@@ -219,12 +208,10 @@ pub fn broadcast(opts: &Opts) -> Result<String, String> {
 pub fn aggregate(opts: &Opts) -> Result<String, String> {
     opts.expect_keys(
         "aggregate",
-        &[
-            "n", "c", "k", "seed", "trials", "op", "pattern", "alpha", "threads",
-        ],
+        &["n", "c", "k", "seed", "trials", "op", "pattern", "alpha"],
     )?;
-    init_threads(opts)?;
-    let (n, c, k, seed, trials) = shape(opts)?;
+    let (n, c, k, seed) = shape(opts)?;
+    let trials = trials(opts, 10)?;
     let op = opts.get_str("op", "sum");
     let pattern = pattern_by_name(&opts.get_str("pattern", "shared-core"))?;
     let alpha = opts.get("alpha", bounds::DEFAULT_ALPHA)?;
@@ -273,11 +260,7 @@ pub fn aggregate(opts: &Opts) -> Result<String, String> {
 
 /// `crn rendezvous` — pairwise rendezvous, randomized or deterministic.
 pub fn rendezvous(opts: &Opts) -> Result<String, String> {
-    opts.expect_keys(
-        "rendezvous",
-        &["c", "k", "seed", "trials", "deterministic", "threads"],
-    )?;
-    init_threads(opts)?;
+    opts.expect_keys("rendezvous", &["c", "k", "seed", "trials", "deterministic"])?;
     let c = opts.get("c", 8usize)?;
     let k = opts.get("k", 2usize)?;
     let seed = opts.get("seed", 1u64)?;
@@ -316,12 +299,9 @@ pub fn rendezvous(opts: &Opts) -> Result<String, String> {
 
 /// `crn flood` — COGCAST over a multi-hop topology.
 pub fn flood(opts: &Opts) -> Result<String, String> {
-    opts.expect_keys(
-        "flood",
-        &["n", "c", "k", "seed", "trials", "topology", "threads"],
-    )?;
-    init_threads(opts)?;
-    let (n, c, k, seed, trials) = shape(opts)?;
+    opts.expect_keys("flood", &["n", "c", "k", "seed", "trials", "topology"])?;
+    let (n, c, k, seed) = shape(opts)?;
+    let trials = trials(opts, 10)?;
     let shape_name = opts.get_str("topology", "grid");
     let topo = match shape_name.as_str() {
         "line" => Topology::line(n),
@@ -344,7 +324,8 @@ pub fn flood(opts: &Opts) -> Result<String, String> {
     for t in 0..trials as u64 {
         let s = seed.wrapping_add(t);
         let a = crn_sim::assignment::shared_core(n, c, k).map_err(|e| e.to_string())?;
-        let run = run_flood(topo.clone(), StaticChannels::local(a, s), s, BUDGET)
+        let medium = OracleMultihop::new(topo.clone());
+        let (run, _) = run_broadcast_on(StaticChannels::local(a, s), s, BUDGET, medium)
             .map_err(|e| e.to_string())?;
         slots.push(run.slots.ok_or("flood did not complete")?);
     }
@@ -357,8 +338,7 @@ pub fn flood(opts: &Opts) -> Result<String, String> {
 
 /// `crn game` — play the bipartite hitting game.
 pub fn game(opts: &Opts) -> Result<String, String> {
-    opts.expect_keys("game", &["c", "k", "seed", "trials", "player", "threads"])?;
-    init_threads(opts)?;
+    opts.expect_keys("game", &["c", "k", "seed", "trials", "player"])?;
     let c = opts.get("c", 16usize)?;
     let k = opts.get("k", 2usize)?;
     let seed = opts.get("seed", 1u64)?;
@@ -414,12 +394,9 @@ fn play_boxed(
 
 /// `crn jam` — COGCAST against an n-uniform jammer.
 pub fn jam(opts: &Opts) -> Result<String, String> {
-    opts.expect_keys(
-        "jam",
-        &["n", "c", "k", "seed", "trials", "strategy", "threads"],
-    )?;
-    init_threads(opts)?;
-    let (n, c, k, seed, trials) = shape(opts)?;
+    opts.expect_keys("jam", &["n", "c", "k", "seed", "trials", "strategy"])?;
+    let (n, c, k, seed) = shape(opts)?;
+    let trials = trials(opts, 10)?;
     if 2 * k >= c {
         return Err(format!(
             "the Theorem 18 regime needs k < c/2 (k = {k}, c = {c})"
@@ -452,8 +429,7 @@ pub fn jam(opts: &Opts) -> Result<String, String> {
 
 /// `crn backoff` — resolve contention on the physical radio.
 pub fn backoff(opts: &Opts) -> Result<String, String> {
-    opts.expect_keys("backoff", &["m", "nmax", "seed", "trials", "threads"])?;
-    init_threads(opts)?;
+    opts.expect_keys("backoff", &["m", "nmax", "seed", "trials"])?;
     let m = opts.get("m", 16usize)?;
     let n_max = opts.get("nmax", 256usize)?;
     let seed = opts.get("seed", 1u64)?;
@@ -488,12 +464,8 @@ pub fn backoff(opts: &Opts) -> Result<String, String> {
 /// `crn monitor` — amortized repeated aggregation over one tree.
 pub fn monitor(opts: &Opts) -> Result<String, String> {
     use crn_core::cogcomp::run_repeated_aggregation;
-    opts.expect_keys(
-        "monitor",
-        &["n", "c", "k", "seed", "trials", "rounds", "op", "threads"],
-    )?;
-    init_threads(opts)?;
-    let (n, c, k, seed, _trials) = shape(opts)?;
+    opts.expect_keys("monitor", &["n", "c", "k", "seed", "rounds", "op"])?;
+    let (n, c, k, seed) = shape(opts)?;
     let rounds = opts.get("rounds", 5usize)?;
     let op = opts.get_str("op", "max");
     if rounds == 0 {
@@ -594,16 +566,8 @@ COMMANDS
   monitor     amortized repeated aggregation (one tree, many rounds)
               --n 32 --c 8 --k 2 --rounds 5 --op max
 
-GLOBAL FLAGS
-  --threads N   width of the trial pool (every command). crn runs its
-                trials in order, each on one thread, so today only
-                the experiments binary fans trials across the pool.
-                Overrides the CRN_THREADS env var; defaults to the
-                machine's available cores. Strictly validated: 0, junk
-                or out-of-range values are errors, never defaults.
-
 Patterns: full-overlap, shared-core, random-dispersed, random-congested, clustered.
-All commands are deterministic for a fixed --seed (at any --threads).
+All commands are deterministic for a fixed --seed.
 "
     .to_string()
 }
@@ -806,65 +770,6 @@ mod tests {
         ] {
             assert!(h.contains(cmd), "help missing {cmd}");
         }
-    }
-
-    #[test]
-    fn threads_flag_rejects_bad_values() {
-        // Mirrors the unknown-flag policy: a bad --threads is an error
-        // up front, never a silent fall-back to the default width.
-        for bad in [
-            &["--threads", "0"][..],
-            &["--threads", "abc"],
-            &["--threads", "-3"],
-            &["--threads", "1000000"],
-            &["--threads"], // bare boolean flag parses as "true"
-        ] {
-            let err = broadcast(&opts(bad)).unwrap_err();
-            assert!(err.contains("--threads"), "{bad:?}: {err}");
-            assert!(err.contains("thread count"), "{bad:?}: {err}");
-        }
-        // Every command accepts and validates the flag.
-        for cmd in [
-            "broadcast",
-            "aggregate",
-            "rendezvous",
-            "flood",
-            "game",
-            "jam",
-            "backoff",
-            "monitor",
-        ] {
-            let result = dispatch(cmd, &opts(&["--threads", "0"])).expect("known command");
-            let err = result.unwrap_err();
-            assert!(err.contains("--threads"), "{cmd}: {err}");
-        }
-    }
-
-    #[test]
-    fn threads_flag_accepts_configured_width() {
-        // Use the width the lazy global pool would pick anyway: the
-        // pool is process-wide, so any other width could conflict with
-        // pool-using tests in this same test process (and the right
-        // width must be accepted idempotently).
-        let w = crn_sim::pool::configured_workers().unwrap().to_string();
-        let out = broadcast(&opts(&[
-            "--n",
-            "10",
-            "--c",
-            "4",
-            "--trials",
-            "2",
-            "--threads",
-            &w,
-        ]))
-        .unwrap();
-        assert!(out.contains("COGCAST local broadcast"), "{out}");
-    }
-
-    #[test]
-    fn help_documents_threads_flag() {
-        assert!(help().contains("--threads"));
-        assert!(help().contains("CRN_THREADS"));
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! tests can verify that *every* node's contribution reaches the source
 //! exactly once.
 
-use serde::{Deserialize, Serialize};
-
 /// An associative, commutative aggregation value.
 ///
 /// Implementations must satisfy, for all `a`, `b`, `c`:
@@ -32,7 +30,7 @@ pub trait Aggregate: Clone + std::fmt::Debug + PartialEq {
 /// a.merge(&Sum(4));
 /// assert_eq!(a, Sum(7));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Sum(pub u64);
 
 impl Aggregate for Sum {
@@ -51,7 +49,7 @@ impl Aggregate for Sum {
 /// a.merge(&Min(2));
 /// assert_eq!(a, Min(2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Min(pub u64);
 
 impl Aggregate for Min {
@@ -70,7 +68,7 @@ impl Aggregate for Min {
 /// a.merge(&Max(5));
 /// assert_eq!(a, Max(5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Max(pub u64);
 
 impl Aggregate for Max {
@@ -89,7 +87,7 @@ impl Aggregate for Max {
 /// a.merge(&Count(1));
 /// assert_eq!(a, Count(2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Count(pub u64);
 
 impl Aggregate for Count {
@@ -113,7 +111,7 @@ impl Aggregate for Count {
 /// a.merge(&Collect::of(2));
 /// assert_eq!(a.values(), &[1, 2, 3]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Collect(Vec<u64>);
 
 impl Collect {
@@ -147,7 +145,7 @@ impl Aggregate for Collect {
 /// a.merge(&MeanAcc::of(20));
 /// assert_eq!(a.mean(), 15.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MeanAcc {
     /// Sum of contributed values.
     pub sum: u64,
@@ -188,7 +186,7 @@ impl Aggregate for MeanAcc {
 /// a.merge(&All(false));
 /// assert_eq!(a, All(false));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct All(pub bool);
 
 impl Aggregate for All {
@@ -207,7 +205,7 @@ impl Aggregate for All {
 /// a.merge(&Any(true));
 /// assert_eq!(a, Any(true));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Any(pub bool);
 
 impl Aggregate for Any {
@@ -228,7 +226,7 @@ impl Aggregate for Any {
 /// assert!(a.contains(3) && a.contains(10) && !a.contains(4));
 /// assert_eq!(a.len(), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BitSet(pub u128);
 
 impl BitSet {
@@ -278,7 +276,7 @@ impl Aggregate for BitSet {
 /// assert_eq!(h.buckets()[15], 1);
 /// assert_eq!(h.total(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Histogram16 {
     buckets: [u32; 16],
 }

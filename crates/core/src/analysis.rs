@@ -19,7 +19,6 @@
 
 use crate::cogcast::CogCast;
 use crn_sim::{ChannelModel, Network, SimError};
-use serde::{Deserialize, Serialize};
 
 /// The explicit stage floor `k/(4e·c)` for the `c ≤ n` case.
 ///
@@ -42,7 +41,7 @@ pub fn stage_floor(c: usize, k: usize) -> f64 {
 }
 
 /// An empirical stage-rate measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageRate {
     /// Number of (node, slot) opportunities observed.
     pub opportunities: u64,

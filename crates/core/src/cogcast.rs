@@ -15,14 +15,13 @@ use crate::bounds;
 use crn_sim::rng::SimRng;
 use crn_sim::{Action, Event, LocalChannel, NodeCtx, NodeId, Protocol};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How a node was first informed: by whom, in which slot, and on which
 /// of its local channels. This triple identifies the node's position in
 /// the implicit distribution tree that COGCAST builds (Section 5,
 /// Lemma 5): `from` is the node's parent and `(slot, channel)` names its
 /// cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Informed {
     /// The node whose transmission informed this node (its tree parent).
     pub from: NodeId,
@@ -34,7 +33,7 @@ pub struct Informed {
 
 /// What a COGCAST node did in one slot — recorded so COGCOMP's phase
 /// three can "rewind" phase one (Section 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotRecord {
     /// Broadcast on the channel; `delivered` is the success feedback.
     Broadcast {
@@ -231,7 +230,7 @@ impl<M: Clone + std::fmt::Debug> Protocol<M> for CogCast<M> {
 }
 
 /// Per-run statistics of a COGCAST execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BroadcastRun {
     /// Slots until every node was informed, or `None` if the budget ran
     /// out first.

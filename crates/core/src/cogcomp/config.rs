@@ -7,7 +7,6 @@
 //! until the node terminates.
 
 use crate::bounds;
-use serde::{Deserialize, Serialize};
 
 /// Which phase a slot belongs to, with the offset inside the phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +34,7 @@ pub enum PhaseAt {
 /// time at each level of the distribution tree" (Section 5 overview).
 /// [`Coordination::Uncoordinated`] is the ablation that removes the
 /// announce gating so that penalty can be measured (experiment A1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Coordination {
     /// The paper's protocol: mediators announce which cluster may send.
     #[default]
@@ -46,7 +45,7 @@ pub enum Coordination {
 }
 
 /// Static parameters of a COGCOMP execution, shared by all nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CogCompConfig {
     /// Number of nodes.
     pub n: usize,

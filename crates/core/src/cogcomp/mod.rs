@@ -18,10 +18,9 @@ pub use protocol::CogComp;
 use crate::aggregate::Aggregate;
 use crate::bounds;
 use crn_sim::{ChannelModel, Network, SimError};
-use serde::{Deserialize, Serialize};
 
 /// The outcome of one COGCOMP execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregationRun<V> {
     /// The aggregate computed at the source, if the run completed.
     pub result: Option<V>,
@@ -241,7 +240,7 @@ where
 }
 
 /// The outcome of an amortized multi-round COGCOMP execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RepeatedAggregationRun<V> {
     /// Per round: the aggregate at the source (`None` if that round
     /// missed its step window).
@@ -360,7 +359,7 @@ pub fn run_aggregation_default<CM: ChannelModel, V: Aggregate>(
 }
 
 /// The outcome of a confirmed broadcast (see [`run_confirmed_broadcast`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConfirmedBroadcast {
     /// True if the source *positively confirmed* that all `n − 1` other
     /// nodes received the initiation message.

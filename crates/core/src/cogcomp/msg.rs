@@ -5,7 +5,6 @@
 //! variants are ignored rather than misinterpreted.
 
 use crn_sim::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Messages exchanged by COGCOMP nodes.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// with the physical channel they name an `(r, c)`-cluster (Definition 6
 /// of the paper). The channel never appears in messages because a
 /// message is only ever heard *on* its channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CogCompMsg<V> {
     /// Phase 1: the source's initiation message, flooded by COGCAST.
     Init,

@@ -9,7 +9,6 @@
 
 use crate::cogcast::CogCast;
 use crn_sim::NodeId;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -76,7 +75,7 @@ impl Error for TreeError {}
 /// assert_eq!(t.depth(NodeId(2)), 1);
 /// # Ok::<(), crn_core::tree::TreeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistributionTree {
     root: NodeId,
     /// For each node: `(parent, informed_slot)`; `None` for the root.

@@ -14,10 +14,9 @@
 use crn_sim::rng::SimRng;
 use crn_sim::{GlobalChannel, Interference, NodeId};
 use rand::seq::index::sample;
-use serde::{Deserialize, Serialize};
 
 /// The jammer strategies swept by experiment F9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JammerStrategy {
     /// A fresh uniform `k`-subset per node per slot.
     Random,

@@ -21,10 +21,9 @@ use crn_core::cogcast::CogCast;
 use crn_sim::assignment::full_overlap;
 use crn_sim::channel_model::StaticChannels;
 use crn_sim::{Network, SimError};
-use serde::{Deserialize, Serialize};
 
 /// Statistics of one jammed broadcast run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JammedRun {
     /// Slots until everyone was informed, or `None` on timeout.
     pub slots: Option<u64>,

@@ -9,11 +9,10 @@
 //! matching) needs `≥ c/3` rounds (Lemma 14).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An edge `(a_i, b_j)` of the complete bipartite graph, as a pair of
 /// side indices in `0..c`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Edge {
     /// Index into the `A` side.
     pub a: u32,
@@ -30,7 +29,7 @@ impl Edge {
 
 /// A matching in the complete bipartite graph: a set of edges sharing no
 /// endpoints.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Matching {
     edges: Vec<Edge>,
 }
@@ -106,7 +105,7 @@ impl Matching {
 /// assert_eq!(game.rounds(), 1);
 /// let _ = won;
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HittingGame {
     c: usize,
     matching: Matching,

@@ -16,10 +16,9 @@ use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::Rng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// The channel-selection strategies the experiment sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceStrategy {
     /// A fresh uniform pick every slot (COGCAST's rule).
     Uniform,

@@ -14,11 +14,10 @@
 use crate::game::{Edge, HittingGame};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// The result of driving a broadcast algorithm through the reduction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReductionOutcome {
     /// Hitting-game rounds consumed (edge proposals made).
     pub game_rounds: u64,

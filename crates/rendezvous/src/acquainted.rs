@@ -22,10 +22,9 @@ use crn_sim::{
     Action, ChannelModel, Event, GlobalChannel, LocalChannel, Network, NodeCtx, Protocol, SimError,
 };
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Messages of the acquaintance handshake.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AcqMsg {
     /// Initiator → responder: "here is my channel set and PRG seed".
     Hello {
@@ -244,7 +243,7 @@ impl Protocol<AcqMsg> for Acquainted {
 }
 
 /// The outcome of a seed-exchange run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AcquaintedRun {
     /// Slot at which both sides were acquainted, or `None` on timeout.
     pub acquainted_slot: Option<u64>,

@@ -23,7 +23,6 @@ use crn_sim::{
     Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, NodeId, Protocol, SimError,
 };
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A node of the rendezvous-aggregation baseline.
@@ -151,7 +150,7 @@ impl<V: Aggregate> Protocol<BaselineMsg<V>> for RendezvousAggregation<V> {
 }
 
 /// Statistics of one baseline-aggregation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineAggregationRun<V> {
     /// The aggregate at the source, if the run completed.
     pub result: Option<V>,

@@ -12,7 +12,6 @@
 use crn_sim::rng::SimRng;
 use crn_sim::{Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, Protocol, SimError};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A node of the rendezvous-broadcast baseline.
 #[derive(Debug, Clone)]
@@ -76,7 +75,7 @@ impl<M: Clone + std::fmt::Debug> Protocol<M> for RendezvousBroadcast<M> {
 }
 
 /// Statistics of one baseline-broadcast run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineBroadcastRun {
     /// Slots until everyone was informed, or `None` on timeout.
     pub slots: Option<u64>,

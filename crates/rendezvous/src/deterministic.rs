@@ -36,7 +36,6 @@ use crn_sim::rng::SimRng;
 use crn_sim::{
     Action, ChannelModel, Event, GlobalChannel, LocalChannel, Network, NodeCtx, Protocol, SimError,
 };
-use serde::{Deserialize, Serialize};
 
 /// Returns the smallest prime `>= n` (and `>= 2`).
 ///
@@ -71,7 +70,7 @@ pub fn smallest_prime_geq(n: usize) -> usize {
 
 /// The deterministic schedule for a channel universe of size
 /// `total_channels` and a node distinguished by `salt`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JumpStaySchedule {
     /// The prime the jump walk is built over.
     pub prime: usize,

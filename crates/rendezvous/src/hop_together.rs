@@ -13,7 +13,6 @@
 
 use crn_sim::rng::SimRng;
 use crn_sim::{Action, ChannelModel, Event, GlobalChannel, Network, NodeCtx, Protocol, SimError};
-use serde::{Deserialize, Serialize};
 
 /// A node of the hop-together broadcast. Requires the global-label
 /// model ([`crn_sim::StaticChannels::global`]); panics otherwise.
@@ -85,7 +84,7 @@ impl<M: Clone + std::fmt::Debug> Protocol<M> for HopTogether<M> {
 }
 
 /// Statistics of one hop-together run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HopTogetherRun {
     /// Slots until everyone was informed, or `None` on timeout.
     pub slots: Option<u64>,

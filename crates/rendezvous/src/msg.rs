@@ -1,10 +1,9 @@
 //! Wire messages for the baseline protocols.
 
 use crn_sim::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Messages of the rendezvous-aggregation baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BaselineMsg<V> {
     /// A sender hands its value to the source.
     Value {

@@ -22,7 +22,6 @@ use crate::error::SimError;
 use crate::ids::GlobalChannel;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A static assignment of channel sets to nodes.
 ///
@@ -43,7 +42,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.c(), 6);
 /// assert!(a.min_pairwise_overlap() >= 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelAssignment {
     /// Per-node sorted channel sets.
     sets: Vec<Vec<GlobalChannel>>,
@@ -576,7 +575,7 @@ pub fn clustered(
 }
 
 /// Identifies the named overlap patterns swept by experiment F7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OverlapPattern {
     /// [`full_overlap`] (requires `k == c`; other patterns ignore that).
     FullOverlap,

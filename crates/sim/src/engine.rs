@@ -212,7 +212,9 @@ where
     /// # Errors
     ///
     /// Returns [`SimError::ProtocolCountMismatch`] if the number of
-    /// protocols differs from the model's node count.
+    /// protocols differs from the model's node count, and
+    /// [`SimError::InvalidParams`] if the medium is built for another
+    /// node count.
     pub fn build(self) -> Result<Network<M, P, CM, Med>, SimError> {
         Network::assemble(
             self.model,
@@ -374,7 +376,9 @@ where
     /// # Errors
     ///
     /// Returns [`SimError::ProtocolCountMismatch`] if `protocols.len()`
-    /// differs from the model's node count.
+    /// differs from the model's node count, and
+    /// [`SimError::InvalidParams`] if the medium is built for another
+    /// node count (see [`Medium::node_count`]).
     pub fn with_medium(
         model: CM,
         protocols: Vec<P>,
@@ -395,6 +399,14 @@ where
             return Err(SimError::ProtocolCountMismatch {
                 nodes: model.n(),
                 protocols: protocols.len(),
+            });
+        }
+        if let Some(nodes) = medium.node_count().filter(|&nodes| nodes != model.n()) {
+            return Err(SimError::InvalidParams {
+                reason: format!(
+                    "the medium spans {nodes} nodes but the channel model has {}",
+                    model.n()
+                ),
             });
         }
         let node_rngs = (0..model.n())

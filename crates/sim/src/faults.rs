@@ -11,10 +11,9 @@
 use crate::proto::{Action, Event, NodeCtx, Protocol};
 use crate::rng::SimRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// When a node is down.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultSchedule {
     /// Never down.
     None,

@@ -5,7 +5,6 @@
 //! the per-node *local* channel labels, and node identities. Each gets a
 //! newtype so the compiler keeps them apart.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A unique node identity.
@@ -23,9 +22,7 @@ use std::fmt;
 /// assert!(a < b);
 /// assert_eq!(a.to_string(), "n3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -67,9 +64,7 @@ impl From<u32> for NodeId {
 /// assert_eq!(q.index(), 12);
 /// assert_eq!(q.to_string(), "g12");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GlobalChannel(pub u32);
 
 impl GlobalChannel {
@@ -107,9 +102,7 @@ impl From<u32> for GlobalChannel {
 /// assert_eq!(l.index(), 0);
 /// assert_eq!(l.to_string(), "l0");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LocalChannel(pub u32);
 
 impl LocalChannel {

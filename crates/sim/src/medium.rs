@@ -132,6 +132,14 @@ pub trait Medium<M: Clone> {
 
     /// Which contract clauses this medium satisfies.
     fn profile(&self) -> MediumProfile;
+
+    /// The node count this medium is built for, or `None` (the
+    /// default) if it resolves a network of any size. The engine
+    /// rejects a channel model of any other size at construction. A
+    /// medium that wraps another forwards this to the inner one.
+    fn node_count(&self) -> Option<usize> {
+        None
+    }
 }
 
 fn empty_channel_record() -> ChannelActivity {
@@ -582,7 +590,8 @@ pub struct OracleMultihop {
 
 impl OracleMultihop {
     /// A multi-hop oracle over `topology` (the RNG is re-derived when
-    /// the network seeds it).
+    /// the network seeds it). The network it serves must have exactly
+    /// `topology.len()` nodes; construction rejects any other size.
     pub fn new(topology: Topology) -> Self {
         let is_complete = topology.is_complete();
         OracleMultihop {
@@ -673,6 +682,10 @@ impl<M: Clone> Medium<M> for OracleMultihop {
                 engine_stream_winners: false,
             }
         }
+    }
+
+    fn node_count(&self) -> Option<usize> {
+        Some(self.topology.len())
     }
 }
 
@@ -867,7 +880,7 @@ mod tests {
     use crate::channel_model::StaticChannels;
     use crate::ids::LocalChannel;
     use crate::proto::{NodeCtx, Protocol};
-    use crate::Network;
+    use crate::{Network, SimError};
 
     struct Fixed {
         action: Action<u8>,
@@ -1158,6 +1171,121 @@ mod tests {
             }]
         );
         assert_eq!(p[2].heard, vec![Event::Silence]);
+    }
+
+    /// A network of [`Fixed`] nodes over `topology`, every node on all
+    /// `c` channels with global labels.
+    fn fixed_multihop(
+        topology: Topology,
+        c: usize,
+        actions: Vec<Action<u8>>,
+        seed: u64,
+    ) -> Network<u8, Fixed, StaticChannels, OracleMultihop> {
+        let model = StaticChannels::global(full_overlap(actions.len(), c).unwrap());
+        let protos = actions.into_iter().map(fixed).collect();
+        Network::with_medium(model, protos, seed, OracleMultihop::new(topology)).unwrap()
+    }
+
+    #[test]
+    fn multihop_per_receiver_winners_are_independent() {
+        // 1 and 2 both broadcast and only 0 neighbors both: over many
+        // slots node 0 hears each roughly half the time.
+        let topo = Topology::from_edges(3, &[(0, 1), (0, 2)]);
+        let actions = vec![
+            Action::Listen(LocalChannel(0)),
+            Action::Broadcast(LocalChannel(0), 1),
+            Action::Broadcast(LocalChannel(0), 2),
+        ];
+        let mut net = fixed_multihop(topo, 1, actions, 5);
+        for _ in 0..2000 {
+            net.step();
+        }
+        let p = net.into_protocols();
+        let from1 = p[0]
+            .heard
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    Event::Received {
+                        from: NodeId(1),
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert!(
+            (700..=1300).contains(&from1),
+            "receiver-side winner skewed: {from1}/2000"
+        );
+    }
+
+    #[test]
+    fn multihop_channels_do_not_mix() {
+        let actions = vec![
+            Action::Broadcast(LocalChannel(0), 3),
+            Action::Listen(LocalChannel(1)),
+        ];
+        let mut net = fixed_multihop(Topology::complete(2), 2, actions, 2);
+        net.step();
+        assert_eq!(net.into_protocols()[1].heard, vec![Event::Silence]);
+    }
+
+    #[test]
+    fn multihop_is_deterministic_given_seed() {
+        let run = |seed: u64| -> Vec<Event<u8>> {
+            let topo = Topology::from_edges(3, &[(0, 1), (0, 2)]);
+            let actions = vec![
+                Action::Listen(LocalChannel(0)),
+                Action::Broadcast(LocalChannel(0), 1),
+                Action::Broadcast(LocalChannel(0), 2),
+            ];
+            let mut net = fixed_multihop(topo, 1, actions, seed);
+            for _ in 0..32 {
+                net.step();
+            }
+            net.into_protocols().remove(0).heard
+        };
+        assert_eq!(run(7), run(7));
+        assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn multihop_conformance_holds_on_incomplete_topology() {
+        // The engine's conformance hook applies the multihop profile:
+        // winner-less contended channels are legal here.
+        let actions = vec![
+            Action::Broadcast(LocalChannel(0), 9),
+            Action::Listen(LocalChannel(0)),
+            Action::Listen(LocalChannel(0)),
+        ];
+        let mut net = fixed_multihop(Topology::line(3), 1, actions, 1);
+        net.step();
+        assert_eq!(net.check_conformance(), vec![]);
+    }
+
+    #[test]
+    fn multihop_topology_must_match_the_model_size() {
+        // Smaller incomplete, smaller complete (which would otherwise
+        // delegate to the single-hop oracle unnoticed) and larger.
+        for (topo, n) in [
+            (Topology::line(4), 8),
+            (Topology::complete(3), 8),
+            (Topology::line(3), 2),
+        ] {
+            let model = StaticChannels::global(full_overlap(n, 1).unwrap());
+            let protos = (0..n).map(|_| fixed(Action::Sleep)).collect::<Vec<_>>();
+            let nodes = topo.len();
+            let err = Network::with_medium(model, protos, 0, OracleMultihop::new(topo))
+                .err()
+                .expect("size mismatch accepted");
+            let msg = err.to_string();
+            assert!(matches!(err, SimError::InvalidParams { .. }), "{msg}");
+            assert!(
+                msg.contains(&format!("{nodes} nodes")) && msg.contains(&format!("has {n}")),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

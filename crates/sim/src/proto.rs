@@ -8,7 +8,6 @@
 
 use crate::ids::{GlobalChannel, LocalChannel, NodeId};
 use crate::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// What a node chooses to do in one slot.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let a: Action<&'static str> = Action::Broadcast(LocalChannel(2), "hello");
 /// assert!(matches!(a, Action::Broadcast(ch, _) if ch == LocalChannel(2)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action<M> {
     /// Transmit `M` on the given local channel.
     Broadcast(LocalChannel, M),
@@ -62,7 +61,7 @@ impl<M> Action<M> {
 /// succeeds; every listener on the channel receives the winning message;
 /// each broadcaster learns whether it succeeded, and the losers *also*
 /// receive the winning message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event<M> {
     /// The node listened and received the winning message on its channel.
     Received {

@@ -21,10 +21,9 @@ use crate::error::SimError;
 use crate::ids::GlobalChannel;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the synthetic spectrum environment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpectrumConfig {
     /// Total candidate bands `C` (anchors included).
     pub bands: usize,
@@ -49,7 +48,7 @@ impl SpectrumConfig {
 }
 
 /// What the sensing pass produced, alongside the assignment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SensingReport {
     /// Ground-truth occupancy per band (anchors always free).
     pub occupied: Vec<bool>,

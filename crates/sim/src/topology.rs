@@ -7,7 +7,6 @@
 //! along its edges.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An undirected connectivity graph on `n` nodes.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!t.are_neighbors(0, 2));
 /// assert_eq!(t.diameter(), Some(3));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     n: usize,
     /// Adjacency lists, sorted.

@@ -6,10 +6,9 @@
 //! that protocols themselves (by design) cannot see.
 
 use crate::ids::{GlobalChannel, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// What happened on a single global channel during one slot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelActivity {
     /// The physical channel.
     pub channel: GlobalChannel,
@@ -29,7 +28,7 @@ impl ChannelActivity {
 }
 
 /// Everything that happened in one slot.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlotActivity {
     /// The slot number this record describes.
     pub slot: u64,
@@ -166,7 +165,7 @@ impl TraceDigest {
 /// assert_eq!(log.total_collisions(), 1);
 /// assert_eq!(log.total_deliveries(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceLog {
     slots: u64,
     transmissions: u64,

@@ -4,10 +4,8 @@
 //! `(c/k)·lg n`") by fitting power laws: a linear regression in log-log
 //! space whose slope is the empirical exponent.
 
-use serde::{Deserialize, Serialize};
-
 /// An ordinary-least-squares line fit `y ≈ slope·x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LineFit {
     /// The fitted slope.
     pub slope: f64,

@@ -1,7 +1,5 @@
 //! Summary statistics for experiment samples.
 
-use serde::{Deserialize, Serialize};
-
 /// Descriptive statistics of a sample.
 ///
 /// # Examples
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.min, 1.0);
 /// assert_eq!(s.max, 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample size.
     pub n: usize,

@@ -5,11 +5,10 @@
 //! x/y rows plus an ASCII chart, so results are inspectable in a
 //! terminal and diffable in EXPERIMENTS.md.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A rectangular text table with a header row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
@@ -126,7 +125,7 @@ impl fmt::Display for Table {
 }
 
 /// An x/y series with an ASCII rendering (one experiment "figure").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     title: String,
     x_label: String,

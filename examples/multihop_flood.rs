@@ -10,9 +10,10 @@
 //! cargo run --example multihop_flood
 //! ```
 
-use crn::multihop::{run_flood, Topology};
+use crn::core::cogcast::run_broadcast_on;
 use crn::sim::assignment::shared_core;
 use crn::sim::channel_model::StaticChannels;
+use crn::sim::{OracleMultihop, Topology};
 use crn::stats::Summary;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,7 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut slots = Vec::new();
         for seed in 0..trials {
             let model = StaticChannels::local(shared_core(n, c, k)?, seed);
-            let run = run_flood(topo.clone(), model, seed, 10_000_000)?;
+            let medium = OracleMultihop::new(topo.clone());
+            let (run, _) = run_broadcast_on(model, seed, 10_000_000, medium)?;
             slots.push(run.slots.expect("flood completes"));
         }
         let s = Summary::of_u64(&slots).unwrap();

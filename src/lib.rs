@@ -44,7 +44,6 @@ pub use crn_backoff as backoff;
 pub use crn_core as core;
 pub use crn_jamming as jamming;
 pub use crn_lowerbounds as lowerbounds;
-pub use crn_multihop as multihop;
 pub use crn_rendezvous as rendezvous;
 pub use crn_sim as sim;
 pub use crn_stats as stats;

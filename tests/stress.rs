@@ -7,11 +7,11 @@
 
 use crn::core::aggregate::{Collect, Sum};
 use crn::core::bounds;
-use crn::core::cogcast::run_broadcast;
+use crn::core::cogcast::{run_broadcast, run_broadcast_on};
 use crn::core::cogcomp::run_aggregation_default;
-use crn::multihop::{run_flood, Topology};
 use crn::sim::assignment::shared_core;
 use crn::sim::channel_model::StaticChannels;
+use crn::sim::{OracleMultihop, Topology};
 
 #[test]
 #[ignore = "large-scale; run with --ignored in release"]
@@ -54,7 +54,7 @@ fn flood_across_a_twenty_by_twenty_grid() {
     let topo = Topology::grid(20, 20);
     let n = topo.len();
     let model = StaticChannels::local(shared_core(n, 4, 2).unwrap(), 2);
-    let run = run_flood(topo, model, 2, 100_000_000).unwrap();
+    let (run, _) = run_broadcast_on(model, 2, 100_000_000, OracleMultihop::new(topo)).unwrap();
     assert!(run.completed());
     // Diameter 38: completion is at least one slot per hop.
     assert!(run.slots.unwrap() >= 38);
