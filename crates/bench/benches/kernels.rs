@@ -8,9 +8,14 @@ use std::time::Instant;
 
 use crn_bench::effort::par_trials;
 use crn_core::cogcast::CogCast;
-use crn_sim::assignment::shared_core;
+use crn_rendezvous::JumpStay;
+use crn_sim::assignment::{random_with_core, shared_core};
 use crn_sim::channel_model::StaticChannels;
-use crn_sim::{Network, PhysicalDecay};
+use crn_sim::rng::derive_rng;
+use crn_sim::{
+    Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, PhysicalDecay, Protocol, SimRng,
+};
+use rand::Rng;
 
 /// The (n, c) grid the slot-engine sweep and the JSON baseline cover.
 const ENGINE_GRID: [(usize, usize); 7] = [
@@ -27,6 +32,93 @@ const ENGINE_GRID: [(usize, usize); 7] = [
 /// channel space `C = 2 + 6n` dwarfs the network and resolve dominates
 /// a step (the n the journal follow-up studies).
 const LARGE_N: [usize; 2] = [4096, 16384];
+
+/// The network sizes of the `kernels` floor series.
+const FLOOR_N: [usize; 3] = [2, 48, 1024];
+
+/// A floor protocol of the `kernels` series: its `decide` is all it
+/// does, so a slot costs only the engine and the medium.
+#[derive(Debug, Clone, Copy)]
+struct Floor(fn(&NodeCtx<'_>, &mut SimRng) -> Action<u8>);
+
+impl Protocol<u8> for Floor {
+    fn decide(&mut self, ctx: &NodeCtx<'_>, rng: &mut SimRng) -> Action<u8> {
+        (self.0)(ctx, rng)
+    }
+
+    fn observe(&mut self, _ctx: &NodeCtx<'_>, _event: Event<u8>) {}
+}
+
+/// Always asleep; always listening on local channel 0; and a fair coin
+/// between broadcasting and listening, on a uniformly random local
+/// channel.
+const FLOORS: [(&str, Floor); 3] = [
+    ("asleep", Floor(|_, _| Action::Sleep)),
+    ("listen-0", Floor(|_, _| Action::Listen(LocalChannel(0)))),
+    (
+        "random",
+        Floor(|ctx, rng| {
+            let ch = LocalChannel(rng.gen_range(0..ctx.c as u32));
+            if rng.gen_bool(0.5) {
+                Action::Broadcast(ch, 0)
+            } else {
+                Action::Listen(ch)
+            }
+        }),
+    ),
+];
+
+/// T6's deterministic-rendezvous shape: a jump-stay pair on
+/// `random_with_core(2, 12, 1, 240)` with permuted global labels, the
+/// hardest `k` of T6's sweep. The pair keeps hopping after it meets, so
+/// every slot is the same 2-node slot.
+fn jump_stay_net() -> Network<u8, JumpStay, StaticChannels> {
+    let mut rng = derive_rng(1, 0x76B);
+    let assignment = random_with_core(2, 12, 1, 240, &mut rng)
+        .unwrap()
+        .permute_globals(&mut rng);
+    let model = StaticChannels::global(assignment);
+    let total = model.total_channels();
+    let protos = vec![JumpStay::beaconer(total, 0), JumpStay::listener(total, 1)];
+    Network::new(model, protos, 1).unwrap()
+}
+
+/// Best-of-3 wall-clock ns per `step_unrecorded()` slot, the way the
+/// protocol runners step, after a warm-up past the scratch-buffer fill.
+fn unrecorded_ns_per_slot<P: Protocol<u8>, CM: ChannelModel>(
+    net: &mut Network<u8, P, CM>,
+    n: usize,
+) -> f64 {
+    let slots = (2_000_000 / n).max(2000) as u64;
+    for _ in 0..slots / 4 {
+        net.step_unrecorded();
+    }
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        for _ in 0..slots {
+            net.step_unrecorded();
+        }
+        best = best.min(t0.elapsed().as_nanos() as f64 / slots as f64);
+    }
+    best
+}
+
+/// The engine's floor cost: `(shape, n, ns/slot)` for the T6 jump-stay
+/// pair and for each of [`FLOORS`] on `shared_core(n, 8, 2)` with local
+/// labels at every [`FLOOR_N`].
+fn measure_floors() -> Vec<(&'static str, usize, f64)> {
+    let jump_stay = unrecorded_ns_per_slot(&mut jump_stay_net(), 2);
+    let mut rows = vec![("jump-stay", 2, jump_stay)];
+    for (name, floor) in FLOORS {
+        for n in FLOOR_N {
+            let model = StaticChannels::local(shared_core(n, 8, 2).unwrap(), 1);
+            let mut net = Network::new(model, vec![floor; n], 1).unwrap();
+            rows.push((name, n, unrecorded_ns_per_slot(&mut net, n)));
+        }
+    }
+    rows
+}
 
 /// A COGCAST broadcast network on `shared_core(n, c, 2)` with local
 /// labels — the workload every engine throughput number in this repo
@@ -165,6 +257,16 @@ fn write_engine_baseline() {
         ));
     }
 
+    let floor_rows: Vec<String> = measure_floors()
+        .into_iter()
+        .map(|(shape, n, ns)| {
+            let per_node = ns / n as f64;
+            format!(
+                "    {{\"shape\": \"{shape}\", \"n\": {n}, \"ns_per_slot\": {ns:.1}, \"ns_per_node_slot\": {per_node:.1}}}"
+            )
+        })
+        .collect();
+
     // Aggregate: 32 independent n=256 trial networks across all cores,
     // the shape of a `par_trials` experiment sweep.
     let (trials, per_trial_slots) = (32usize, 4000u64);
@@ -179,36 +281,16 @@ fn write_engine_baseline() {
     let aggregate = (trials as u64 * per_trial_slots) as f64 / t0.elapsed().as_secs_f64();
 
     let host_cores = crn_sim::pool::default_workers();
-    let revision = revision();
+    let revision = crn_bench::revision();
     let json = format!(
-        "{{\n  \"bench\": \"slot_engine\",\n  \"workload\": \"COGCAST broadcast, shared_core(n, c, 2), local labels\",\n  \"engine\": \"scratch-buffered, allocation-free steady state, record-free oracle resolution (radix-grouped active channels), every trial stepped on one thread\",\n  \"grid_note\": \"ns_per_slot steps with step() (channel records built); record_free_ns_per_slot with step_unrecorded(), as the protocol runners step\",\n  \"host_cores\": {host_cores},\n  \"revision\": \"{revision}\",\n  \"grid\": [\n{}\n  ],\n  \"physical_slot\": [\n{}\n  ],\n  \"par_trials\": {{\"trials\": {trials}, \"slots_per_trial\": {per_trial_slots}, \"aggregate_slots_per_sec\": {aggregate:.0}}}\n}}\n",
+        "{{\n  \"bench\": \"slot_engine\",\n  \"workload\": \"COGCAST broadcast, shared_core(n, c, 2), local labels\",\n  \"engine\": \"scratch-buffered, allocation-free steady state, record-free oracle resolution (order-free winner draws: lone broadcasters skipped, only contended channels ranked), every trial stepped on one thread\",\n  \"grid_note\": \"ns_per_slot steps with step() (channel records built); record_free_ns_per_slot with step_unrecorded(), as the protocol runners step\",\n  \"host_cores\": {host_cores},\n  \"revision\": \"{revision}\",\n  \"grid\": [\n{}\n  ],\n  \"physical_slot\": [\n{}\n  ],\n  \"kernels_note\": \"engine floor, step_unrecorded() on one thread: T6's 2-node jump-stay pair, and asleep / listen-on-channel-0 / random broadcast-or-listen nodes on shared_core(n, 8, 2)\",\n  \"kernels\": [\n{}\n  ],\n  \"par_trials\": {{\"trials\": {trials}, \"slots_per_trial\": {per_trial_slots}, \"aggregate_slots_per_sec\": {aggregate:.0}}}\n}}\n",
         rows.join(",\n"),
         physical_rows.join(",\n"),
+        floor_rows.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     std::fs::write(path, json).expect("write BENCH_engine.json");
     println!("wrote {path}");
-}
-
-/// The git revision the numbers were taken at, `-dirty` when tracked
-/// files differ from it; `unknown` outside a git checkout.
-fn revision() -> String {
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-    };
-    match git(&["rev-parse", "--short=12", "HEAD"]) {
-        Some(rev) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
-            Some(changes) if changes.is_empty() => rev,
-            _ => format!("{rev}-dirty"),
-        },
-        None => "unknown".into(),
-    }
 }
 
 /// Channel-assignment generation cost across patterns.

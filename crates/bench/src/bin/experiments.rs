@@ -122,14 +122,17 @@ fn main() -> ExitCode {
 }
 
 /// Renders the `BENCH_experiments.json` payload: the suite's total
-/// and per-experiment wall-clock timings.
+/// and per-experiment wall-clock timings, with the host's core count
+/// and the git revision they were taken at.
 fn time_report(effort: Effort, timings: &[(String, f64)], total_s: f64) -> String {
     let rows: Vec<String> = timings
         .iter()
         .map(|(id, ms)| format!("    {{\"id\": \"{id}\", \"ms\": {ms:.0}}}"))
         .collect();
+    let host_cores = crn_sim::pool::default_workers();
+    let revision = crn_bench::revision();
     format!(
-        "{{\n  \"bench\": \"experiments_end_to_end\",\n  \"command\": \"experiments all --quick --time-json BENCH_experiments.json\",\n  \"effort\": \"{effort:?}\",\n  \"scheduler\": \"work-stealing (atomic seed counter, seed-keyed slots)\",\n  \"rng\": \"SimRng (owned xoshiro256++, stream-preserving vs. prior StdRng)\",\n  \"total_s\": {total_s:.3},\n  \"per_experiment\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"experiments_end_to_end\",\n  \"command\": \"experiments all --quick --time-json BENCH_experiments.json\",\n  \"host_cores\": {host_cores},\n  \"revision\": \"{revision}\",\n  \"effort\": \"{effort:?}\",\n  \"scheduler\": \"work-stealing (atomic seed counter, seed-keyed slots)\",\n  \"rng\": \"SimRng (owned xoshiro256++, stream-preserving vs. prior StdRng)\",\n  \"total_s\": {total_s:.3},\n  \"per_experiment\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     )
 }

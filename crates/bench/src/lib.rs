@@ -22,3 +22,25 @@ pub mod experiments;
 
 pub use effort::{mean_slots, par_trials, Effort};
 pub use experiments::{run_experiment, Artifact, EXPERIMENT_IDS};
+
+/// The git revision the numbers were taken at, `-dirty` when tracked
+/// files differ from it; `unknown` outside a git checkout. Both BENCH
+/// files record it beside the host's core count.
+pub fn revision() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "--short=12", "HEAD"]) {
+        Some(rev) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
+            Some(changes) if changes.is_empty() => rev,
+            _ => format!("{rev}-dirty"),
+        },
+        None => "unknown".into(),
+    }
+}

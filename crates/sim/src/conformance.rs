@@ -27,8 +27,8 @@
 //!   setting).
 //! - **RNG stream discipline** (docs/RNG_STREAMS.md): the recorded
 //!   winners are exactly what an independent replay of the `ENGINE`
-//!   stream produces — one uniform draw per contended channel, in
-//!   ascending channel order ([`replay_winners`]).
+//!   stream produces — one uniform draw per channel with at least one
+//!   broadcaster, in ascending channel order ([`replay_winners`]).
 //!
 //! The checks are pure: they never consume an RNG stream and never
 //! mutate the network, so running them cannot perturb a golden trace.
@@ -361,10 +361,11 @@ fn check_overlap<CM: ChannelModel + ?Sized>(
 /// every recorded winner is exactly the replay's uniform draw.
 ///
 /// The engine contract (docs/RNG_STREAMS.md) is one
-/// `gen_range(0..broadcasters)` per contended channel, ascending
-/// channel order within each slot, consuming nothing else from the
-/// stream. `activities` must cover *every* slot from slot 0 of a
-/// network seeded with `master_seed` — a gap desynchronizes the replay.
+/// `gen_range(0..broadcasters)` per channel with at least one
+/// broadcaster, ascending channel order within each slot, consuming
+/// nothing else from the stream. `activities` must cover *every* slot
+/// from slot 0 of a network seeded with `master_seed` — a gap
+/// desynchronizes the replay.
 ///
 /// # Examples
 ///

@@ -25,8 +25,9 @@
 //!
 //! The engine is fully deterministic given its seed: per-node protocol
 //! RNGs, the medium's resolution RNG, and the interference RNG are all
-//! derived from the master seed on independent streams, and channels
-//! are resolved in sorted order so winner draws are reproducible.
+//! derived from the master seed on independent streams, and winner
+//! draws advance the medium's stream in ascending channel order, so
+//! they are reproducible.
 
 use crate::channel_model::ChannelModel;
 use crate::error::SimError;

@@ -49,8 +49,9 @@ pub struct MediumProfile {
     /// ([`OracleMultihop`] on an incomplete topology).
     pub guaranteed_winner: bool,
     /// Recorded winners are reproducible by replaying the `ENGINE`
-    /// stream — one uniform draw per contended channel, ascending
-    /// channel order (see [`crate::conformance::replay_winners`]).
+    /// stream — one uniform draw per channel with at least one
+    /// broadcaster, ascending channel order (see
+    /// [`crate::conformance::replay_winners`]).
     pub engine_stream_winners: bool,
 }
 
@@ -158,6 +159,7 @@ const NO_WINNER: u32 = u32::MAX;
 /// resolves it.
 #[derive(Debug, Clone, Copy)]
 struct ActiveChannel {
+    channel: GlobalChannel,
     broadcasters: u32,
     listeners: u32,
     /// Where the channel's group starts in [`SingleHop::grouped`]:
@@ -169,62 +171,6 @@ struct ActiveChannel {
     next_listener: u32,
     /// The winning node, or [`NO_WINNER`].
     winner: u32,
-}
-
-/// Sorts `items` ascending by `key` — every key below `bound` — with a
-/// stable least-significant-digit radix sort.
-///
-/// The digit width adapts to the input: `p` passes of `⌈bits/p⌉`-bit
-/// digits (at most 11 bits, so the histogram stays in L1) cost about
-/// `p · (len + 2^digit)`, and the cheapest `p` is taken, so a few items
-/// over a large key space use several narrow passes and many items a
-/// few wide ones. `scratch` and `counts` are reusable buffers; `counts`
-/// is sized by `bound` alone, so for a fixed `bound` only a longer
-/// input than ever before allocates.
-fn radix_sort_by_key<T: Copy>(
-    items: &mut Vec<T>,
-    scratch: &mut Vec<T>,
-    counts: &mut Vec<u32>,
-    bound: usize,
-    key: impl Fn(&T) -> u32,
-) {
-    const MAX_DIGIT: u32 = 11;
-    let len = items.len();
-    let bits = usize::BITS - bound.saturating_sub(1).leading_zeros();
-    if len < 2 || bits == 0 {
-        return;
-    }
-    let (passes, digit) = (bits.div_ceil(MAX_DIGIT)..=bits)
-        .map(|p| (p, bits.div_ceil(p)))
-        .min_by_key(|&(p, d)| p as usize * (len + (1usize << d)))
-        .expect("bits >= 1");
-    counts.resize(1 << bits.min(MAX_DIGIT), 0);
-    let mask = (1u32 << digit) - 1;
-    for pass in 0..passes {
-        let shift = pass * digit;
-        if shift >= bits {
-            break;
-        }
-        let counts = &mut counts[..1 << digit];
-        counts.fill(0);
-        for item in items.iter() {
-            counts[((key(item) >> shift) & mask) as usize] += 1;
-        }
-        let mut offset = 0;
-        for count in counts.iter_mut() {
-            let c = *count;
-            *count = offset;
-            offset += c;
-        }
-        scratch.clear();
-        scratch.resize(len, items[0]);
-        for item in items.iter() {
-            let bucket = &mut counts[((key(item) >> shift) & mask) as usize];
-            scratch[*bucket as usize] = *item;
-            *bucket += 1;
-        }
-        std::mem::swap(items, scratch);
-    }
 }
 
 /// The spare-record class of `record`: the bit length of its smaller
@@ -245,11 +191,12 @@ fn record_class(record: &ChannelActivity) -> usize {
 ///
 /// Resolution works on compact arrays: one entry per *active* channel
 /// (found through an epoch-stamped index, so the model's full channel
-/// space is never scanned or cleared), the participants grouped by
-/// channel, and a radix sort of the active channel ids so winner rules
-/// run in ascending channel order. Both paths — with and without
-/// records — are allocation-free in steady state (see
-/// `crn-sim/tests/alloc.rs`).
+/// space is never scanned or cleared) in discovery order, and the
+/// participants grouped by channel. Winner draws keep their ascending
+/// channel order in the medium's stream without sorting the active
+/// channels (see [`SingleHop::draw_winners`]); only the records path
+/// sorts them. Both paths — with and without records — are
+/// allocation-free in steady state (see `crn-sim/tests/alloc.rs`).
 #[derive(Debug, Default)]
 struct SingleHop {
     /// The current epoch; bumped every slot, so a stale stamp in
@@ -264,11 +211,16 @@ struct SingleHop {
     tuned_active: Vec<u32>,
     /// The distinct channels touched this slot, in discovery order.
     active: Vec<ActiveChannel>,
-    /// `(channel, index into active)`, ascending by channel.
-    order: Vec<(GlobalChannel, u32)>,
-    /// Radix-sort buffers for `order`.
-    order_scratch: Vec<(GlobalChannel, u32)>,
-    radix_counts: Vec<u32>,
+    /// The channels with two or more broadcasters, as `(channel, index
+    /// into active)`, ascending by channel.
+    contended: Vec<(GlobalChannel, u32)>,
+    /// `lone_runs[j]`: the lone-broadcaster channels between
+    /// `contended[j - 1]` and `contended[j]`; the last entry counts
+    /// those above every contended channel.
+    lone_runs: Vec<u32>,
+    /// Built only for records: each active channel as `channel << 32 |
+    /// index into active`, sorted, so the sort compares plain integers.
+    order: Vec<u64>,
     /// The participants grouped by channel (see [`ActiveChannel::start`]).
     grouped: Vec<NodeId>,
     /// Channel records not in use this slot, kept for their vectors'
@@ -279,10 +231,12 @@ struct SingleHop {
 }
 
 impl SingleHop {
-    /// Resolves one slot: `winner` is called once per channel with at
-    /// least one broadcaster, in ascending channel order, with that
-    /// channel's broadcasters in ascending node order, and returns the
-    /// winning broadcaster or `None` when nobody got through.
+    /// Resolves one slot: `winner` picks each channel's winner from its
+    /// broadcasters (ascending node order) using `rng`, and returns the
+    /// winning broadcaster or `None` when nobody got through. `rng`
+    /// advances as if `winner` ran once per channel with at least one
+    /// broadcaster, in ascending channel order (see
+    /// [`SingleHop::draw_winners`]).
     ///
     /// A winner is delivered to every other node on its channel, and
     /// the winner itself observes [`Event::Delivered`]. On a channel
@@ -295,20 +249,11 @@ impl SingleHop {
         inputs: &SlotInputs<'_, M>,
         events: &mut [Option<Event<M>>],
         activity: &mut SlotActivity,
-        mut winner: impl FnMut(&[NodeId]) -> Option<NodeId>,
+        rng: &mut SimRng,
+        winner: impl FnMut(&mut SimRng, &[NodeId]) -> Option<NodeId>,
     ) {
         self.group_by_channel(inputs.total_channels, inputs.tuned);
-
-        for &(_, at) in &self.order {
-            let a = &mut self.active[at as usize];
-            if a.broadcasters > 0 {
-                let start = a.start as usize;
-                let broadcasters = &self.grouped[start..start + a.broadcasters as usize];
-                if let Some(w) = winner(broadcasters) {
-                    a.winner = w.0;
-                }
-            }
-        }
+        self.draw_winners(rng, winner);
 
         // Translate winners into per-node events (ascending node order,
         // so message clones happen in the same order as the pre-medium
@@ -341,15 +286,59 @@ impl SingleHop {
         }
     }
 
-    /// Groups `tuned` by channel: fills `active`, `tuned_active`,
-    /// `grouped`, and `order` (ascending by channel).
+    /// Sets every broadcasting channel's winner and advances `rng`
+    /// exactly as calling `winner` on each of them in ascending channel
+    /// order would — without sorting the active channels.
     ///
-    /// Costs `O(T + A)` for `T` participants on `A` active channels,
-    /// plus a radix sort of the `A` channel ids — never proportional to
-    /// the model's full channel space `C`, which only the first pass
-    /// touches (once per participant). Placement walks `tuned` in
-    /// ascending node order, so each group's broadcasters and listeners
-    /// stay in node order.
+    /// Under both winner rules a lone broadcaster wins with exactly one
+    /// `next_u64`: `gen_range(0..1)` draws once (its rejection
+    /// threshold is 0), and so does `decay_episode(1, ..)` (round 0 has
+    /// p = 1). So only contended channels need their place in the
+    /// stream: they are sorted (usually 0–2 of them), one counting pass
+    /// over the lone channels finds how many lone draws fall before,
+    /// between and after them, and those draws are skipped in bulk.
+    fn draw_winners(
+        &mut self,
+        rng: &mut SimRng,
+        mut winner: impl FnMut(&mut SimRng, &[NodeId]) -> Option<NodeId>,
+    ) {
+        self.contended.clear();
+        for (at, a) in self.active.iter().enumerate() {
+            if a.broadcasters > 1 {
+                self.contended.push((a.channel, at as u32));
+            }
+        }
+        self.contended.sort_unstable_by_key(|&(ch, _)| ch);
+        self.lone_runs.clear();
+        self.lone_runs.resize(self.contended.len() + 1, 0);
+        for a in self.active.iter_mut().filter(|a| a.broadcasters == 1) {
+            a.winner = self.grouped[a.start as usize].0;
+            let run = self.contended.partition_point(|&(ch, _)| ch < a.channel);
+            self.lone_runs[run] += 1;
+        }
+        for (j, &run) in self.lone_runs.iter().enumerate() {
+            for _ in 0..run {
+                rng.next_u64();
+            }
+            if let Some(&(_, at)) = self.contended.get(j) {
+                let a = &mut self.active[at as usize];
+                let start = a.start as usize;
+                let broadcasters = &self.grouped[start..start + a.broadcasters as usize];
+                if let Some(w) = winner(rng, broadcasters) {
+                    a.winner = w.0;
+                }
+            }
+        }
+    }
+
+    /// Groups `tuned` by channel: fills `active` (in discovery order),
+    /// `tuned_active` and `grouped`.
+    ///
+    /// Costs `O(T + A)` for `T` participants on `A` active channels —
+    /// never proportional to the model's full channel space `C`, which
+    /// only the first pass touches (once per participant). Placement
+    /// walks `tuned` in ascending node order, so each group's
+    /// broadcasters and listeners stay in node order.
     fn group_by_channel(&mut self, total_channels: usize, tuned: &[(GlobalChannel, usize, bool)]) {
         // Sized to the channel space once (amortized; see tests/alloc.rs),
         // then only the active entries are ever touched again.
@@ -366,14 +355,13 @@ impl SingleHop {
         };
         let epoch = self.epoch;
         self.active.clear();
-        self.order.clear();
         self.tuned_active.clear();
         for &(ch, _, is_broadcast) in tuned {
             let entry = &mut self.chan_index[ch.index()];
             if entry.0 != epoch {
                 *entry = (epoch, self.active.len() as u32);
-                self.order.push((ch, entry.1));
                 self.active.push(ActiveChannel {
+                    channel: ch,
                     broadcasters: 0,
                     listeners: 0,
                     start: 0,
@@ -390,18 +378,8 @@ impl SingleHop {
                 a.listeners += 1;
             }
         }
-        // Winner draws consume the engine stream in ascending channel
-        // order, so the active set must be resolved sorted.
-        radix_sort_by_key(
-            &mut self.order,
-            &mut self.order_scratch,
-            &mut self.radix_counts,
-            total_channels,
-            |&(ch, _)| ch.0,
-        );
         let mut offset = 0u32;
-        for &(_, at) in &self.order {
-            let a = &mut self.active[at as usize];
+        for a in &mut self.active {
             a.start = offset;
             a.next_broadcaster = offset;
             a.next_listener = offset + a.broadcasters;
@@ -465,13 +443,17 @@ impl SingleHop {
     /// instead of drifting to one-node groups, and recycling stops
     /// allocating once every class holds enough records.
     fn fill_records(&mut self, channels: &mut Vec<ChannelActivity>) {
+        self.order.clear();
+        let keys = self.active.iter().enumerate();
+        self.order
+            .extend(keys.map(|(at, a)| u64::from(a.channel.0) << 32 | at as u64));
+        self.order.sort_unstable();
         while channels.len() > self.order.len() {
             let record = channels.pop().expect("longer than order");
             self.retire_record(record);
         }
         for i in 0..self.order.len() {
-            let (channel, at) = self.order[i];
-            let a = self.active[at as usize];
+            let a = self.active[self.order[i] as u32 as usize];
             let size = (a.broadcasters.max(a.listeners) as usize).next_power_of_two();
             let want = size.trailing_zeros() as usize + 1;
             if i == channels.len() {
@@ -489,7 +471,7 @@ impl SingleHop {
             let mid = start + a.broadcasters as usize;
             let end = mid + a.listeners as usize;
             let record = &mut channels[i];
-            record.channel = channel;
+            record.channel = a.channel;
             record.winner = (a.winner != NO_WINNER).then_some(NodeId(a.winner));
             // Most groups hold one or two nodes: a push loop beats a
             // memcpy call there.
@@ -515,7 +497,8 @@ impl SingleHop {
 ///
 /// This is the single-hop skeleton plus one uniform draw per channel
 /// with broadcasters, from the `ENGINE` stream in ascending channel
-/// order. [`ChannelActivity`] records are built only when
+/// order; a lone broadcaster's draw is skipped as the one raw draw it
+/// would consume. [`ChannelActivity`] records are built only when
 /// [`SlotInputs::records`] asks for them.
 #[derive(Debug)]
 pub struct OracleSingleHop {
@@ -550,11 +533,13 @@ impl<M: Clone> Medium<M> for OracleSingleHop {
         events: &mut [Option<Event<M>>],
         activity: &mut SlotActivity,
     ) {
-        let rng = &mut self.engine_rng;
-        self.skeleton
-            .resolve(inputs, events, activity, |broadcasters| {
-                Some(broadcasters[rng.gen_range(0..broadcasters.len())])
-            });
+        self.skeleton.resolve(
+            inputs,
+            events,
+            activity,
+            &mut self.engine_rng,
+            |rng, broadcasters| Some(broadcasters[rng.gen_range(0..broadcasters.len())]),
+        );
     }
 
     fn profile(&self) -> MediumProfile {
@@ -784,8 +769,10 @@ pub fn decay_episode(
 /// Resolution is the single-hop skeleton [`OracleSingleHop`] uses, with
 /// one [`decay_episode`] per channel with broadcasters (ascending
 /// channel order, broadcasters in ascending node order) in place of the
-/// oracle's uniform draw; channel records are built only when
-/// [`SlotInputs::records`] asks for them.
+/// oracle's uniform draw. A lone broadcaster's episode is one
+/// `gen_bool(1.0)` it always wins, so the skeleton skips it as one raw
+/// draw. Channel records are built only when [`SlotInputs::records`]
+/// asks for them.
 ///
 /// All randomness comes from the dedicated `PHYSICAL` stream
 /// (docs/RNG_STREAMS.md), never from the oracle's `ENGINE` stream.
@@ -854,15 +841,20 @@ impl<M: Clone> Medium<M> for PhysicalDecay {
         self.rounds_per_slot = rounds;
         self.physical_rounds += rounds;
         let epoch = epoch_len(inputs.n);
-        let (rng, failed) = (&mut self.rng, &mut self.failed_episodes);
-        self.skeleton
-            .resolve(inputs, events, activity, |broadcasters| {
+        let failed = &mut self.failed_episodes;
+        self.skeleton.resolve(
+            inputs,
+            events,
+            activity,
+            &mut self.rng,
+            |rng, broadcasters| {
                 let (won, _) = decay_episode(broadcasters.len(), epoch, rounds, rng);
                 if won.is_none() {
                     *failed += 1;
                 }
                 won.map(|i| broadcasters[i])
-            });
+            },
+        );
     }
 
     fn profile(&self) -> MediumProfile {
@@ -904,20 +896,27 @@ mod tests {
     }
 
     #[test]
-    fn radix_sort_is_a_stable_sort_by_key() {
-        let mut rng = derive_rng(7, 0);
-        let (mut scratch, mut counts) = (Vec::new(), Vec::new());
-        for bound in [1usize, 2, 3, 255, 256, 257, 2049, 24_578, 1 << 20, 1 << 31] {
-            for len in [0usize, 1, 2, 7, 100, 3000] {
-                let mut items: Vec<(u32, usize)> = (0..len)
-                    .map(|i| (rng.gen_range(0..bound) as u32, i))
-                    .collect();
-                let mut expected = items.clone();
-                expected.sort_by_key(|&(key, _)| key);
-                radix_sort_by_key(&mut items, &mut scratch, &mut counts, bound, |&(key, _)| {
-                    key
-                });
-                assert_eq!(items, expected, "bound {bound}, len {len}");
+    fn lone_broadcaster_draws_are_one_next_u64() {
+        // `SingleHop::draw_winners` skips each lone broadcaster's draw as
+        // exactly one `next_u64`. That holds only while the `rand`
+        // stand-in under `vendor/rand` samples `gen_range(0..1)` and
+        // `gen_bool(1.0)` with one raw draw each; an edit there could
+        // otherwise shift every ENGINE and PHYSICAL stream unnoticed.
+        for seed in 0..32 {
+            let fresh = derive_rng(seed, streams::ENGINE);
+            let mut once = fresh.clone();
+            once.next_u64();
+            let mut rng = fresh.clone();
+            assert_eq!(rng.gen_range(0..1usize), 0);
+            assert_eq!(rng, once, "gen_range(0..1), seed {seed}");
+            let mut rng = fresh.clone();
+            assert!(rng.gen_bool(1.0));
+            assert_eq!(rng, once, "gen_bool(1.0), seed {seed}");
+            for n in [1, 2, 48, 1024, 1 << 20] {
+                let mut rng = fresh.clone();
+                let episode = decay_episode(1, epoch_len(n), recommended_rounds(n), &mut rng);
+                assert_eq!(episode, (Some(0), 1));
+                assert_eq!(rng, once, "decay_episode(1, ..), n {n}, seed {seed}");
             }
         }
     }

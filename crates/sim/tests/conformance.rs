@@ -8,10 +8,11 @@ use crn_sim::assignment::{full_overlap, shared_core};
 use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
 use crn_sim::conformance::{check_slot, replay_winners, Rule};
 use crn_sim::interference::Interference;
-use crn_sim::rng::SimRng;
+use crn_sim::medium::{decay_episode, epoch_len, recommended_rounds};
+use crn_sim::rng::{derive_rng, streams, SimRng};
 use crn_sim::{
     Action, ChannelModel, Event, FaultSchedule, Flaky, GlobalChannel, LocalChannel, Network,
-    NodeCtx, NodeId, Protocol, SlotActivity,
+    NodeCtx, NodeId, PhysicalDecay, Protocol, SlotActivity,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -219,33 +220,43 @@ fn step_strategy(c: u32) -> impl Strategy<Value = Step> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Arbitrary scripted workloads on arbitrary full-overlap shapes:
     /// every slot conformant, the whole run replayable, and every
     /// delivered message exactly the winner's (footnote 4 end to end).
+    /// Half the shapes are crowds of up to 240 nodes on up to 64
+    /// channels, whose slots contend on many channels at once: the
+    /// single-hop media rank only contended channels and skip lone
+    /// broadcasters' draws, so these check that ranking against ordered
+    /// replays — the oracle's, and one decay episode per broadcasting
+    /// channel for `PhysicalDecay` — and that `step_unrecorded()`
+    /// delivers what `step()` does.
     #[test]
     fn random_workloads_are_conformant_and_replayable(
-        (n, c, scripts) in (2usize..8, 1u32..5, 1usize..14).prop_flat_map(|(n, c, slots)| {
-            (
-                Just(n),
-                Just(c),
-                proptest::collection::vec(
-                    proptest::collection::vec(step_strategy(c), slots),
-                    n,
-                ),
-            )
-        }),
+        (n, c, scripts) in (prop_oneof![(2usize..8, 1u32..5), (48usize..240, 1u32..65)], 1usize..14)
+            .prop_flat_map(|((n, c), slots)| {
+                (
+                    Just(n),
+                    Just(c),
+                    proptest::collection::vec(
+                        proptest::collection::vec(step_strategy(c), slots),
+                        n,
+                    ),
+                )
+            }),
         seed in 0u64..1000,
     ) {
         let slots = scripts[0].len();
-        let model = StaticChannels::global(full_overlap(n, c as usize).unwrap());
-        let protos: Vec<Scripted> = scripts
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Scripted { id: i as u32, script: s.clone(), events: Vec::new() })
-            .collect();
-        let mut net = Network::new(model, protos, seed).unwrap();
+        let model = || StaticChannels::global(full_overlap(n, c as usize).unwrap());
+        let protos = || -> Vec<Scripted> {
+            scripts
+                .iter()
+                .enumerate()
+                .map(|(i, s)| Scripted { id: i as u32, script: s.clone(), events: Vec::new() })
+                .collect()
+        };
+        let mut net = Network::new(model(), protos(), seed).unwrap();
         let mut trace = Vec::new();
         for _ in 0..slots {
             trace.push(net.step().clone());
@@ -253,6 +264,23 @@ proptest! {
             prop_assert!(violations.is_empty(), "{violations:?}");
         }
         prop_assert_eq!(replay_winners(seed, &trace), vec![]);
+
+        let mut unrecorded = Network::new(model(), protos(), seed).unwrap();
+        unrecorded.run_slots(slots as u64);
+        let events = |p: &[Scripted]| p.iter().map(|p| p.events.clone()).collect::<Vec<_>>();
+        prop_assert_eq!(events(unrecorded.protocols()), events(net.protocols()));
+
+        let mut physical = Network::with_medium(model(), protos(), seed, PhysicalDecay::new()).unwrap();
+        let mut reference = derive_rng(seed, streams::PHYSICAL);
+        let (epoch, rounds) = (epoch_len(n), recommended_rounds(n));
+        for _ in 0..slots {
+            for ch in &physical.step().channels {
+                if !ch.broadcasters.is_empty() {
+                    let (won, _) = decay_episode(ch.broadcasters.len(), epoch, rounds, &mut reference);
+                    prop_assert_eq!(ch.winner, won.map(|i| ch.broadcasters[i]));
+                }
+            }
+        }
 
         // Event contract: every listener on a winning channel received
         // exactly the winner's message.
