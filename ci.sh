@@ -29,10 +29,11 @@
 #      (well under a second once built)
 #  12. the benchmark package (perfbench/, its own workspace) built and
 #      its transparency test run: the benchmark reads the engine only
-#      through its public API (Medium::resolve filling channel records,
-#      Network::step, WorkerPool, and the hidden no-op set_parallelism
-#      and ParConfig kept for it), so an API change that breaks it fails
-#      here rather than in a benchmark run
+#      through its public API (Network::with_medium, the Medium trait
+#      with Medium::resolve filling channel records, Network::step,
+#      WorkerPool, and the hidden no-op set_parallelism and ParConfig
+#      kept for it), so an API change that breaks it fails here rather
+#      than in a benchmark run
 #
 # Everything is offline: external dependencies resolve to the stubs
 # under vendor/ (see Cargo.toml [workspace.dependencies]).

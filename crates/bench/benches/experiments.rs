@@ -9,7 +9,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use crn_backoff::decay::{recommended_rounds, resolve_contention};
 use crn_core::aggregate::Sum;
 use crn_core::cogcast::run_broadcast;
 use crn_core::cogcomp::run_aggregation;
@@ -22,6 +21,7 @@ use crn_rendezvous::broadcast::run_baseline_broadcast;
 use crn_rendezvous::hop_together::run_hop_together;
 use crn_sim::assignment::{full_overlap, shared_core, OverlapPattern};
 use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
+use crn_sim::medium::{recommended_rounds, resolve_contention};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -118,7 +118,7 @@ fn bench_tables(cr: &mut Criterion) {
 fn bench_ablations(cr: &mut Criterion) {
     use crn_core::cogcomp::{run_aggregation_cfg, CogCompConfig, Coordination};
     use crn_sim::faults::{FaultSchedule, Flaky};
-    use crn_sim::Network;
+    use crn_sim::{Network, OracleSingleHop};
     let mut seed = 5000u64;
     let mut next = || {
         seed += 1;
@@ -170,7 +170,7 @@ fn bench_ablations(cr: &mut Criterion) {
             protos.extend(
                 (1..n).map(|_| Flaky::new(CogCast::node(), FaultSchedule::Random { p: 0.3 })),
             );
-            let mut net = Network::new(model, protos, s).unwrap();
+            let mut net = Network::with_medium(model, protos, s, OracleSingleHop::new()).unwrap();
             let outcome = net.run(BUDGET, |net| {
                 net.protocols().iter().all(|f| f.inner().is_informed())
             });
@@ -194,7 +194,7 @@ fn bench_ablations(cr: &mut Criterion) {
             let model = StaticChannels::local(shared_core(n, 8, 2).unwrap(), s);
             let mut protos = vec![CogCast::source(0u8)];
             protos.extend((1..n).map(|_| CogCast::node()));
-            let mut net = Network::new(model, protos, s).unwrap();
+            let mut net = Network::with_medium(model, protos, s, OracleSingleHop::new()).unwrap();
             let mut log = TraceLog::new();
             while !net.all_done() {
                 log.record(net.step());

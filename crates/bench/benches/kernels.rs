@@ -2,7 +2,7 @@
 //! per-slot protocol cost) — the ablation companion to the
 //! per-experiment benches.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -13,11 +13,12 @@ use crn_sim::assignment::{random_with_core, shared_core};
 use crn_sim::channel_model::StaticChannels;
 use crn_sim::rng::derive_rng;
 use crn_sim::{
-    Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, PhysicalDecay, Protocol, SimRng,
+    Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, OracleSingleHop, PhysicalDecay,
+    Protocol, SimRng,
 };
 use rand::Rng;
 
-/// The (n, c) grid the slot-engine sweep and the JSON baseline cover.
+/// The (n, c) grid `BENCH_engine.json` covers.
 const ENGINE_GRID: [(usize, usize); 7] = [
     (16, 4),
     (16, 8),
@@ -80,7 +81,7 @@ fn jump_stay_net() -> Network<u8, JumpStay, StaticChannels> {
     let model = StaticChannels::global(assignment);
     let total = model.total_channels();
     let protos = vec![JumpStay::beaconer(total, 0), JumpStay::listener(total, 1)];
-    Network::new(model, protos, 1).unwrap()
+    Network::with_medium(model, protos, 1, OracleSingleHop::new()).unwrap()
 }
 
 /// Best-of-3 wall-clock ns per `step_unrecorded()` slot, the way the
@@ -113,7 +114,8 @@ fn measure_floors() -> Vec<(&'static str, usize, f64)> {
     for (name, floor) in FLOORS {
         for n in FLOOR_N {
             let model = StaticChannels::local(shared_core(n, 8, 2).unwrap(), 1);
-            let mut net = Network::new(model, vec![floor; n], 1).unwrap();
+            let mut net =
+                Network::with_medium(model, vec![floor; n], 1, OracleSingleHop::new()).unwrap();
             rows.push((name, n, unrecorded_ns_per_slot(&mut net, n)));
         }
     }
@@ -127,7 +129,7 @@ fn engine_net(n: usize, c: usize, seed: u64) -> Network<u8, CogCast<u8>, StaticC
     let model = StaticChannels::local(shared_core(n, c, 2).unwrap(), seed);
     let mut protos = vec![CogCast::source(0u8)];
     protos.extend((1..n).map(|_| CogCast::node()));
-    Network::new(model, protos, seed).unwrap()
+    Network::with_medium(model, protos, seed, OracleSingleHop::new()).unwrap()
 }
 
 /// The same COGCAST workload over the decay-backoff physical medium:
@@ -142,43 +144,6 @@ fn physical_net(
     let mut protos = vec![CogCast::source(0u8)];
     protos.extend((1..n).map(|_| CogCast::node()));
     Network::with_medium(model, protos, seed, PhysicalDecay::new()).unwrap()
-}
-
-/// Engine slot throughput: how fast one simulated slot executes as the
-/// network grows (all nodes active, COGCAST workload), swept over
-/// (n, c).
-fn bench_engine_slots(cr: &mut Criterion) {
-    let mut g = cr.benchmark_group("slot_engine");
-    for &(n, c) in &ENGINE_GRID {
-        g.bench_with_input(
-            BenchmarkId::new(format!("n{n}"), c),
-            &(n, c),
-            |b, &(n, c)| {
-                let mut net = engine_net(n, c, 1);
-                b.iter(|| {
-                    net.step();
-                    black_box(net.slot())
-                });
-            },
-        );
-    }
-    g.finish();
-    let mut g = cr.benchmark_group("physical_slot");
-    for &(n, c) in &ENGINE_GRID {
-        g.bench_with_input(
-            BenchmarkId::new(format!("n{n}"), c),
-            &(n, c),
-            |b, &(n, c)| {
-                let mut net = physical_net(n, c, 1);
-                b.iter(|| {
-                    net.step();
-                    black_box(net.slot())
-                });
-            },
-        );
-    }
-    g.finish();
-    write_engine_baseline();
 }
 
 /// Wall-clock `(slots/sec, ns/slot)` for one grid point in steady
@@ -234,13 +199,15 @@ fn measure_physical_ns_per_slot(n: usize, c: usize) -> (f64, f64) {
     )
 }
 
-/// Re-measures the sweep with plain wall-clock timing and records it to
-/// `BENCH_engine.json` at the repository root — the tracked baseline
-/// EXPERIMENTS.md and the README's Performance section reference. Also
-/// measures aggregate throughput with independent trial networks spread
-/// across cores via [`par_trials`], which is how the experiment harness
-/// actually consumes the engine.
-fn write_engine_baseline() {
+/// Engine slot throughput: measures the [`ENGINE_GRID`] sweep (oracle
+/// and physical media), the large oracle points and the floors with
+/// plain wall-clock timing, and records them to `BENCH_engine.json` at
+/// the repository root — the tracked baseline EXPERIMENTS.md and the
+/// README's Performance section reference. Also measures aggregate
+/// throughput with independent trial networks spread across cores via
+/// [`par_trials`], which is how the experiment harness actually
+/// consumes the engine.
+fn write_engine_baseline(_: &mut Criterion) {
     let mut rows = Vec::new();
     let large = LARGE_N.iter().map(|&n| (n, 8));
     for (n, c) in ENGINE_GRID.into_iter().chain(large) {
@@ -332,6 +299,6 @@ fn bench_games(cr: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_engine_slots, bench_assignment, bench_games
+    targets = write_engine_baseline, bench_assignment, bench_games
 }
 criterion_main!(kernels);

@@ -40,7 +40,7 @@ use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
 use crn_sim::conformance::{replay_winners, report, Violation};
 use crn_sim::rng::{derive_rng, streams};
 use crn_sim::{
-    ChannelModel, FaultSchedule, Flaky, Medium, Network, OracleMultihop, OracleSingleHop,
+    ChannelModel, FaultSchedule, Flaky, Jammed, Medium, Network, OracleMultihop, OracleSingleHop,
     PhysicalDecay, Protocol, SlotActivity, Topology,
 };
 use rand::Rng;
@@ -158,7 +158,8 @@ fn run_workload(w: &Workload) -> Vec<Violation> {
             Ok(m) => m,
             Err(e) => panic!("churned model construction failed for {w:?}: {e}"),
         };
-        let mut net = Network::new(model, protos, w.seed).expect("construct");
+        let mut net =
+            Network::with_medium(model, protos, w.seed, OracleSingleHop::new()).expect("construct");
         return drive(&mut net, w.seed, w.slots);
     }
 
@@ -176,7 +177,8 @@ fn run_workload(w: &Workload) -> Vec<Violation> {
 
     match &w.variant {
         Variant::Plain => {
-            let mut net = Network::new(model, protos, w.seed).expect("construct");
+            let mut net = Network::with_medium(model, protos, w.seed, OracleSingleHop::new())
+                .expect("construct");
             drive(&mut net, w.seed, w.slots)
         }
         Variant::Faulty(schedule) => {
@@ -184,13 +186,19 @@ fn run_workload(w: &Workload) -> Vec<Violation> {
                 .into_iter()
                 .map(|p| Flaky::new(p, schedule.clone()))
                 .collect();
-            let mut net = Network::new(model, protos, w.seed).expect("construct");
+            let mut net = Network::with_medium(model, protos, w.seed, OracleSingleHop::new())
+                .expect("construct");
             drive(&mut net, w.seed, w.slots)
         }
         Variant::Jammed { budget, strategy } => {
             let jammer = UniformJammer::new(n, total, *budget, *strategy);
-            let mut net = Network::with_interference(model, protos, w.seed, Box::new(jammer))
-                .expect("construct");
+            let mut net = Network::with_medium(
+                model,
+                protos,
+                w.seed,
+                Jammed::new(OracleSingleHop::new(), Box::new(jammer)),
+            )
+            .expect("construct");
             drive(&mut net, w.seed, w.slots)
         }
         Variant::Churned { .. } => unreachable!("handled above"),

@@ -16,7 +16,7 @@ use crn_rendezvous::pairwise::rendezvous_slots;
 use crn_sim::assignment::shared_core;
 use crn_sim::channel_model::StaticChannels;
 use crn_sim::faults::{FaultSchedule, Flaky};
-use crn_sim::Network;
+use crn_sim::{Network, OracleSingleHop};
 use crn_stats::Table;
 
 const MEASURE_BUDGET: u64 = 50_000_000;
@@ -124,7 +124,8 @@ pub fn a2(effort: Effort) -> Table {
             let model = StaticChannels::local(shared_core(n, c, k).expect("valid"), seed);
             let mut protos = vec![Flaky::new(CogCast::source(()), FaultSchedule::Random { p })];
             protos.extend((1..n).map(|_| Flaky::new(CogCast::node(), FaultSchedule::Random { p })));
-            let mut net = Network::new(model, protos, seed).expect("construct");
+            let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new())
+                .expect("construct");
             let mut done_at = None;
             for s in 0..MEASURE_BUDGET {
                 net.step_unrecorded();

@@ -222,7 +222,7 @@ pub fn f8(effort: Effort) -> Series {
 /// slots go.)
 pub fn f13(effort: Effort) -> Table {
     use crn_core::cogcast::CogCast;
-    use crn_sim::{Network, TraceLog};
+    use crn_sim::{Network, OracleSingleHop, TraceLog};
     let (c, k) = (8usize, 2usize);
     let ns: &[usize] = &[8, 32, 128, 512];
     let trials = effort.trials(10);
@@ -244,7 +244,8 @@ pub fn f13(effort: Effort) -> Table {
             let model = StaticChannels::local(a, seed);
             let mut protos = vec![CogCast::source(0u8)];
             protos.extend((1..n).map(|_| CogCast::node()));
-            let mut net = Network::new(model, protos, seed).expect("construct");
+            let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new())
+                .expect("construct");
             let mut log = TraceLog::new();
             for _ in 0..MEASURE_BUDGET {
                 log.record(net.step());

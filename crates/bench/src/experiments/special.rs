@@ -1,12 +1,12 @@
 //! Separation, jamming and substrate experiments: T5, F9, F10.
 
 use crate::effort::{mean_slots, Effort};
-use crn_backoff::mean_rounds_per_slot;
 use crn_core::cogcast::run_broadcast;
 use crn_jamming::{run_jammed_broadcast, JammerStrategy};
 use crn_rendezvous::hop_together::run_hop_together;
 use crn_sim::assignment::shared_core;
 use crn_sim::channel_model::StaticChannels;
+use crn_sim::medium::mean_rounds_per_slot;
 use crn_stats::{Series, Table};
 
 const MEASURE_BUDGET: u64 = 50_000_000;

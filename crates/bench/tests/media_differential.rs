@@ -19,8 +19,8 @@ use crn_rendezvous::HopTogether;
 use crn_sim::assignment::shared_core;
 use crn_sim::channel_model::StaticChannels;
 use crn_sim::{
-    ChannelModel, Medium, Network, NetworkBuilder, OracleMultihop, PhysicalDecay, Topology,
-    TraceDigest,
+    ChannelModel, Jammed, Medium, Network, OracleMultihop, OracleSingleHop, PhysicalDecay,
+    Topology, TraceDigest,
 };
 
 /// Runs `net` until `done` or `budget` slots, digesting every slot and
@@ -99,7 +99,8 @@ fn cogcomp_multihop_complete_matches_singlehop_digest() {
     };
 
     let (model, protos) = build(0);
-    let mut single = Network::new(model, protos, seed).expect("construct");
+    let mut single =
+        Network::with_medium(model, protos, seed, OracleSingleHop::new()).expect("construct");
     let (slots_s, digest_s) = drive(&mut single, budget, |net| net.all_done());
 
     let (model, protos) = build(1);
@@ -138,7 +139,8 @@ fn hop_together_multihop_complete_matches_singlehop_digest() {
     };
 
     let (model, protos) = build(0);
-    let mut single = Network::new(model, protos, seed).expect("construct");
+    let mut single =
+        Network::with_medium(model, protos, seed, OracleSingleHop::new()).expect("construct");
     let (slots_s, digest_s) = drive(&mut single, budget, |net| net.all_done());
 
     let (model, protos) = build(1);
@@ -233,9 +235,10 @@ fn multihop_ring_trace_is_pinned() {
 /// `(slots until everyone was informed, digest, physical rounds,
 /// failed episodes)`. Informed nodes keep broadcasting after the last
 /// node is informed, so the later slots are all contention.
-fn physical_trace<CM: ChannelModel>(
-    mut net: Network<(), CogCast<()>, CM, PhysicalDecay>,
+fn physical_trace<CM: ChannelModel, Med: Medium<()>>(
+    mut net: Network<(), CogCast<()>, CM, Med>,
     slots: u64,
+    physical: impl Fn(&Med) -> &PhysicalDecay,
 ) -> (Option<u64>, u64, u64, u64) {
     let mut informed_at = None;
     let (_, digest) = drive(&mut net, slots, |net| {
@@ -244,7 +247,7 @@ fn physical_trace<CM: ChannelModel>(
         }
         false
     });
-    let medium = net.medium();
+    let medium = physical(net.medium());
     (
         informed_at,
         digest,
@@ -264,7 +267,7 @@ fn physical_trace_is_pinned() {
     let model = StaticChannels::local(shared_core(n, 4, 1).expect("valid shape"), 3);
     let net =
         Network::with_medium(model, cogcast_protos(n), 3, PhysicalDecay::new()).expect("construct");
-    let (informed_at, digest, rounds, failed) = physical_trace(net, 200);
+    let (informed_at, digest, rounds, failed) = physical_trace(net, 200, |medium| medium);
     assert_eq!(informed_at, Some(12), "physical run length diverged");
     assert_eq!(digest, 0x5f3b_daca_a6a1_c008, "physical trace diverged");
     assert_eq!(rounds, 200 * 400, "physical round bill diverged");
@@ -283,14 +286,9 @@ fn physical_jammed_trace_is_pinned() {
         4,
     );
     let jammer = crn_jamming::UniformJammer::new(n, c, jam_k, crn_jamming::JammerStrategy::Random);
-    let net = NetworkBuilder::new(model)
-        .seed(4)
-        .protocols(cogcast_protos(n))
-        .interference(Box::new(jammer))
-        .medium(PhysicalDecay::new())
-        .build()
-        .expect("construct");
-    let (informed_at, digest, rounds, failed) = physical_trace(net, 200);
+    let medium = Jammed::new(PhysicalDecay::new(), Box::new(jammer));
+    let net = Network::with_medium(model, cogcast_protos(n), 4, medium).expect("construct");
+    let (informed_at, digest, rounds, failed) = physical_trace(net, 200, Jammed::inner);
     assert_eq!(informed_at, Some(7), "jammed physical run length diverged");
     assert_eq!(
         digest, 0x6485_6fef_b9cd_d338,

@@ -4,23 +4,25 @@
 //! medium skip the slot's channel records. That must change nothing a
 //! protocol can see: for COGCAST and COGCOMP over every medium — the
 //! single-hop oracle, the multihop oracle on a complete topology (which
-//! delegates to it) and on a ring (per-receiver winners), and physical
-//! decay backoff (which always builds records) — a network stepped
-//! record-free reaches the same slot count, delivers the same event to
-//! every node in every slot, and ends in the same protocol state as one
-//! stepped with `step()`. The physical medium's round and failure
-//! counters agree too.
+//! delegates to it) and on a ring (per-receiver winners), physical
+//! decay backoff (which always builds records), and the oracle and
+//! physical media under a jammer — a network stepped record-free
+//! reaches the same slot count, delivers the same event to every node
+//! in every slot, and ends in the same protocol state as one stepped
+//! with `step()`. The physical medium's round and failure counters
+//! agree too.
 
 use crn_core::aggregate::Sum;
 use crn_core::bounds;
 use crn_core::cogcast::CogCast;
 use crn_core::cogcomp::{CogComp, CogCompConfig};
+use crn_jamming::{JammerStrategy, UniformJammer};
 use crn_sim::assignment::shared_core;
 use crn_sim::channel_model::StaticChannels;
 use crn_sim::rng::SimRng;
 use crn_sim::{
-    Action, Event, Medium, Network, NodeCtx, OracleMultihop, OracleSingleHop, PhysicalDecay,
-    Protocol, Topology,
+    Action, Event, Jammed, Medium, Network, NodeCtx, OracleMultihop, OracleSingleHop,
+    PhysicalDecay, Protocol, Topology,
 };
 use std::fmt::Debug;
 
@@ -60,6 +62,12 @@ impl Counters for OracleMultihop {}
 impl Counters for PhysicalDecay {
     fn counters(&self) -> (u64, u64) {
         (self.physical_rounds(), self.failed_episodes())
+    }
+}
+
+impl<Med: Counters> Counters for Jammed<Med> {
+    fn counters(&self) -> (u64, u64) {
+        self.inner().counters()
     }
 }
 
@@ -121,6 +129,11 @@ where
 {
     let complete = || OracleMultihop::new(Topology::complete(n));
     let ring = || OracleMultihop::new(Topology::ring(n));
+    // Jams one of global channels 0..6 — the two core channels among
+    // them — per node per slot.
+    let jammer = || Box::new(UniformJammer::new(n, 6, 1, JammerStrategy::Random));
+    let jammed_oracle = || Jammed::new(OracleSingleHop::new(), jammer());
+    let jammed_physical = || Jammed::new(PhysicalDecay::new(), jammer());
     for seed in [3u64, 17] {
         let both = |medium: &str, recorded: Outcome, record_free: Outcome| {
             assert_eq!(
@@ -150,12 +163,23 @@ where
             finished.iter().all(|&f| f),
             "{label}, seed {seed}: {finished:?}"
         );
-        // COGCOMP's single-hop phases need not finish on a ring, so
-        // only agreement is required there.
+        // COGCOMP's single-hop phases need not finish on a ring, and
+        // jamming can stall completion, so only agreement is required
+        // there.
         both(
             "multihop-ring",
             run(n, seed, protos(), ring(), budget, true),
             run(n, seed, protos(), ring(), budget, false),
+        );
+        both(
+            "jammed-oracle",
+            run(n, seed, protos(), jammed_oracle(), budget, true),
+            run(n, seed, protos(), jammed_oracle(), budget, false),
+        );
+        both(
+            "jammed-physical",
+            run(n, seed, protos(), jammed_physical(), budget, true),
+            run(n, seed, protos(), jammed_physical(), budget, false),
         );
     }
 }

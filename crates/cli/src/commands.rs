@@ -13,6 +13,7 @@ use crn_rendezvous::deterministic::jump_stay_rendezvous_slots;
 use crn_rendezvous::pairwise::rendezvous_slots;
 use crn_sim::assignment::OverlapPattern;
 use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
+use crn_sim::medium::{recommended_rounds, resolve_contention};
 use crn_sim::rng::derive_rng;
 use crn_sim::{OracleMultihop, PhysicalDecay, Topology};
 use crn_stats::Summary;
@@ -440,14 +441,9 @@ pub fn backoff(opts: &Opts) -> Result<String, String> {
     let mut rounds = Vec::new();
     for t in 0..trials as u64 {
         let mut rng = crn_sim::SimRng::seed_from_u64(seed.wrapping_add(t));
-        let r = crn_backoff::resolve_contention(
-            m,
-            n_max,
-            crn_backoff::recommended_rounds(n_max),
-            &mut rng,
-        )
-        .map_err(|e| e.to_string())?
-        .ok_or("decay episode failed within the recommended budget")?;
+        let r = resolve_contention(m, n_max, recommended_rounds(n_max), &mut rng)
+            .map_err(|e| e.to_string())?
+            .ok_or("decay episode failed within the recommended budget")?;
         rounds.push(r.rounds);
     }
     let mut out = format!("decay backoff: m = {m} contenders, population bound {n_max}\n");
@@ -455,7 +451,7 @@ pub fn backoff(opts: &Opts) -> Result<String, String> {
     writeln!(
         out,
         "w.h.p. budget 8·log²: {} rounds",
-        crn_backoff::recommended_rounds(n_max)
+        recommended_rounds(n_max)
     )
     .expect("write");
     Ok(out)

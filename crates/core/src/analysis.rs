@@ -18,7 +18,7 @@
 //! just the end-to-end theorem) to the implementation.
 
 use crate::cogcast::CogCast;
-use crn_sim::{ChannelModel, Network, SimError};
+use crn_sim::{ChannelModel, Network, OracleSingleHop, SimError};
 
 /// The explicit stage floor `k/(4e·c)` for the `c ≤ n` case.
 ///
@@ -84,7 +84,7 @@ pub fn measure_stage_one<CM: ChannelModel>(
         let c = model.c();
         let mut protos = vec![CogCast::source(())];
         protos.extend((1..n).map(|_| CogCast::node()));
-        let mut net = Network::new(model, protos, seed)?;
+        let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new())?;
         for _ in 0..budget {
             let informed = net.protocols().iter().filter(|p| p.is_informed()).count();
             if informed * 2 > c || informed == n {
@@ -128,7 +128,7 @@ pub fn measure_stage_two<CM: ChannelModel>(
         let c = model.c();
         let mut protos = vec![CogCast::source(())];
         protos.extend((1..n).map(|_| CogCast::node()));
-        let mut net = Network::new(model, protos, seed)?;
+        let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new())?;
         for _ in 0..budget {
             let informed = net.protocols().iter().filter(|p| p.is_informed()).count();
             if informed == n {

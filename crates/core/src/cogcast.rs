@@ -82,13 +82,13 @@ impl SlotRecord {
 /// use crn_core::bounds;
 /// use crn_sim::assignment::shared_core;
 /// use crn_sim::channel_model::StaticChannels;
-/// use crn_sim::Network;
+/// use crn_sim::{Network, OracleSingleHop};
 ///
 /// let (n, c, k) = (8, 4, 2);
 /// let model = StaticChannels::local(shared_core(n, c, k)?, 11);
 /// let mut protos = vec![CogCast::source("config-v2")];
 /// protos.extend((1..n).map(|_| CogCast::node()));
-/// let mut net = Network::new(model, protos, 11)?;
+/// let mut net = Network::with_medium(model, protos, 11, OracleSingleHop::new())?;
 /// let budget = bounds::cogcast_slots(n, c, k, bounds::DEFAULT_ALPHA);
 /// let outcome = net.run(budget, |net| net.all_done());
 /// assert!(outcome.is_done());
@@ -398,7 +398,7 @@ mod tests {
     use super::*;
     use crn_sim::assignment::{full_overlap, shared_core};
     use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
-    use crn_sim::Network;
+    use crn_sim::{Network, OracleSingleHop};
 
     fn complete_on(model: impl crn_sim::ChannelModel, seed: u64, budget: u64) -> BroadcastRun {
         run_broadcast(model, seed, budget).unwrap()
@@ -464,7 +464,7 @@ mod tests {
         let model = StaticChannels::local(shared_core(n, 5, 2).unwrap(), 9);
         let mut protos = vec![CogCast::source(0u8)];
         protos.extend((1..n).map(|_| CogCast::node()));
-        let mut net = Network::new(model, protos, 9).unwrap();
+        let mut net = Network::with_medium(model, protos, 9, OracleSingleHop::new()).unwrap();
         let outcome = net.run(100_000, |net| net.all_done());
         assert!(outcome.is_done());
         let protos = net.into_protocols();
@@ -495,7 +495,7 @@ mod tests {
         let model = StaticChannels::local(shared_core(n, 4, 2).unwrap(), 5);
         let mut protos = vec![CogCast::source(0u8).with_recording()];
         protos.extend((1..n).map(|_| CogCast::node().with_recording()));
-        let mut net = Network::new(model, protos, 5).unwrap();
+        let mut net = Network::with_medium(model, protos, 5, OracleSingleHop::new()).unwrap();
         net.run_slots(50);
         for p in net.protocols() {
             assert_eq!(p.records().len(), 50);
@@ -508,7 +508,7 @@ mod tests {
         let model = StaticChannels::local(shared_core(n, 4, 2).unwrap(), 8);
         let mut protos = vec![CogCast::source(0u8).with_recording()];
         protos.extend((1..n).map(|_| CogCast::node().with_recording()));
-        let mut net = Network::new(model, protos, 8).unwrap();
+        let mut net = Network::with_medium(model, protos, 8, OracleSingleHop::new()).unwrap();
         net.run(100_000, |net| net.all_done());
         for p in net.protocols().iter().skip(1) {
             let info = p.informed().unwrap();
@@ -534,7 +534,7 @@ mod tests {
         let model = StaticChannels::local(shared_core(4, 3, 1).unwrap(), 5);
         let mut protos = vec![CogCast::source(0u8)];
         protos.extend((1..4).map(|_| CogCast::node()));
-        let mut net = Network::new(model, protos, 5).unwrap();
+        let mut net = Network::with_medium(model, protos, 5, OracleSingleHop::new()).unwrap();
         net.run_slots(10);
         assert!(net.protocols().iter().all(|p| p.records().is_empty()));
     }
@@ -594,7 +594,8 @@ mod tests {
                         }
                     })
                     .collect();
-                let mut net = Network::new(model, protos, seed).unwrap();
+                let mut net =
+                    Network::with_medium(model, protos, seed, OracleSingleHop::new()).unwrap();
                 let outcome = net.run(10_000_000, |net| net.all_done());
                 total += outcome.slots().expect("completes");
             }

@@ -17,7 +17,7 @@ pub use protocol::CogComp;
 
 use crate::aggregate::Aggregate;
 use crate::bounds;
-use crn_sim::{ChannelModel, Network, SimError};
+use crn_sim::{ChannelModel, Network, OracleSingleHop, SimError};
 
 /// The outcome of one COGCOMP execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -331,7 +331,7 @@ pub fn run_repeated_aggregation<CM: ChannelModel, V: Aggregate>(
     ));
     protos.extend(per_node.map(|vs| CogComp::node_with_values(cfg, vs)));
 
-    let mut net = Network::new(model, protos, seed)?;
+    let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new())?;
     let outcome = net.run_to_completion(cfg.recommended_budget());
     let slots = outcome.slots();
     let protos = net.into_protocols();
@@ -688,7 +688,7 @@ mod tests {
         let model = StaticChannels::local(shared_core(n, c, k).unwrap(), 3);
         let mut protos = vec![CogComp::source(cfg, Sum(0))];
         protos.extend((1..n).map(|i| CogComp::node(cfg, Sum(i as u64))));
-        let mut net = Network::new(model, protos, 3).unwrap();
+        let mut net = Network::with_medium(model, protos, 3, OracleSingleHop::new()).unwrap();
         let budget = cfg.phase4_start() + 3 * (n as u64 * n as u64 + 64);
         assert!(net.run_to_completion(budget).is_done());
         let protos = net.into_protocols();
@@ -764,7 +764,7 @@ mod tests {
         let model = StaticChannels::local(shared_core(n, 5, 2).unwrap(), 13);
         let mut protos = vec![CogComp::source(cfg, Sum(0))];
         protos.extend((1..n).map(|i| CogComp::node(cfg, Sum(i as u64))));
-        let mut net = Network::new(model, protos, 13).unwrap();
+        let mut net = Network::with_medium(model, protos, 13, OracleSingleHop::new()).unwrap();
         let outcome = net.run_to_completion(cfg.recommended_budget());
         assert!(outcome.is_done());
         let protos = net.into_protocols();
@@ -788,7 +788,7 @@ mod tests {
         let model = StaticChannels::local(shared_core(n, 6, 2).unwrap(), 17);
         let mut protos = vec![CogComp::source(cfg, Count(1))];
         protos.extend((1..n).map(|_| CogComp::node(cfg, Count(1))));
-        let mut net = Network::new(model, protos, 17).unwrap();
+        let mut net = Network::with_medium(model, protos, 17, OracleSingleHop::new()).unwrap();
         assert!(net.run_to_completion(cfg.recommended_budget()).is_done());
         let protos = net.into_protocols();
         let mediators = protos.iter().filter(|p| p.is_mediator()).count();

@@ -415,14 +415,14 @@ mod tests {
         use crate::cogcomp::{CogComp, CogCompConfig};
         use crn_sim::assignment::shared_core;
         use crn_sim::channel_model::StaticChannels;
-        use crn_sim::Network;
+        use crn_sim::{Network, OracleSingleHop};
 
         let (n, c, k) = (18usize, 5usize, 2usize);
         let cfg = CogCompConfig::new(n, c, k, bounds::DEFAULT_ALPHA);
         let model = StaticChannels::local(shared_core(n, c, k).unwrap(), 6);
         let mut protos = vec![CogComp::source(cfg, Count(1))];
         protos.extend((1..n).map(|_| CogComp::node(cfg, Count(1))));
-        let mut net = Network::new(model, protos, 6).unwrap();
+        let mut net = Network::with_medium(model, protos, 6, OracleSingleHop::new()).unwrap();
         assert!(net.run_to_completion(cfg.recommended_budget()).is_done());
         let protos = net.into_protocols();
 

@@ -8,7 +8,7 @@ use crn_core::cogcast::{run_broadcast, CogCast};
 use crn_core::tree::DistributionTree;
 use crn_sim::assignment::OverlapPattern;
 use crn_sim::channel_model::StaticChannels;
-use crn_sim::Network;
+use crn_sim::{Network, OracleSingleHop};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,7 +123,7 @@ proptest! {
         let model = StaticChannels::local(assignment, seed);
         let mut protos = vec![CogCast::source(0u8)];
         protos.extend((1..n).map(|_| CogCast::node()));
-        let mut net = Network::new(model, protos, seed).expect("construct");
+        let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new()).expect("construct");
         let outcome = net.run(10_000_000, |net| net.all_done());
         prop_assert!(outcome.is_done());
         let protos = net.into_protocols();

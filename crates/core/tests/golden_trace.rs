@@ -18,7 +18,7 @@ use crn_core::cogcast::CogCast;
 use crn_jamming::{JammerStrategy, UniformJammer};
 use crn_sim::assignment::shared_core;
 use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
-use crn_sim::{ChannelModel, Network, TraceDigest};
+use crn_sim::{ChannelModel, Jammed, Medium, Network, OracleSingleHop, TraceDigest};
 
 /// The fixed scenario: n = 24 nodes, C = 13 global channels, c = 6
 /// local channels with pairwise overlap k = 3, local labels, master
@@ -30,7 +30,7 @@ fn golden_net() -> Network<(), CogCast<()>, StaticChannels> {
     let mut protos = Vec::with_capacity(n);
     protos.push(CogCast::source(()));
     protos.extend((1..n).map(|_| CogCast::node()));
-    Network::new(model, protos, 42).expect("construct")
+    Network::with_medium(model, protos, 42, OracleSingleHop::new()).expect("construct")
 }
 
 #[test]
@@ -69,8 +69,8 @@ fn golden_cogcast_trace_digest() {
 /// Drives `net` to full information within `budget`, folding every slot
 /// into a digest and conformance-checking each slot as it executes;
 /// returns `(slots_run, digest)`.
-fn run_informed<CM: ChannelModel>(
-    net: &mut Network<(), CogCast<()>, CM>,
+fn run_informed<CM: ChannelModel, Med: Medium<()>>(
+    net: &mut Network<(), CogCast<()>, CM, Med>,
     seed: u64,
     budget: u64,
 ) -> (u64, u64) {
@@ -116,8 +116,13 @@ fn golden_jammed_trace_digest() {
     protos.push(CogCast::source(()));
     protos.extend((1..n).map(|_| CogCast::node()));
     let jammer = UniformJammer::new(n, c, jam_k, JammerStrategy::Random);
-    let mut net =
-        Network::with_interference(model, protos, 42, Box::new(jammer)).expect("construct");
+    let mut net = Network::with_medium(
+        model,
+        protos,
+        42,
+        Jammed::new(OracleSingleHop::new(), Box::new(jammer)),
+    )
+    .expect("construct");
     let budget = crn_jamming::jammed_budget(n, c, jam_k, 60.0);
     let (slots_run, digest) = run_informed(&mut net, 42, budget);
     assert_eq!(
@@ -141,7 +146,8 @@ fn golden_churned_trace_digest() {
     let mut protos = Vec::with_capacity(n);
     protos.push(CogCast::source(()));
     protos.extend((1..n).map(|_| CogCast::node()));
-    let mut net = Network::new(model, protos, 42).expect("construct");
+    let mut net =
+        Network::with_medium(model, protos, 42, OracleSingleHop::new()).expect("construct");
     let budget = bounds::cogcast_slots(24, 6, 3, bounds::DEFAULT_ALPHA);
     let (slots_run, digest) = run_informed(&mut net, 42, budget);
     assert_eq!(

@@ -88,15 +88,22 @@ mod tests {
     use crn_core::cogcast::CogCast;
     use crn_sim::assignment::full_overlap;
     use crn_sim::channel_model::StaticChannels;
-    use crn_sim::Network;
+    use crn_sim::{Jammed, Network, OracleSingleHop};
 
     fn informed_after(slots: u64, budget: usize, n: usize, c: usize, seed: u64) -> usize {
         let model = StaticChannels::local(full_overlap(n, c).unwrap(), seed);
         let mut protos = vec![CogCast::source(())];
         protos.extend((1..n).map(|_| CogCast::node()));
-        let mut net =
-            Network::with_interference(model, protos, seed, Box::new(SilencerJammer::new(budget)))
-                .unwrap();
+        let mut net = Network::with_medium(
+            model,
+            protos,
+            seed,
+            Jammed::new(
+                OracleSingleHop::new(),
+                Box::new(SilencerJammer::new(budget)),
+            ),
+        )
+        .unwrap();
         net.run_slots(slots);
         net.protocols().iter().filter(|p| p.is_informed()).count()
     }

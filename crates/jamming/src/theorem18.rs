@@ -20,7 +20,7 @@ use crn_core::bounds;
 use crn_core::cogcast::CogCast;
 use crn_sim::assignment::full_overlap;
 use crn_sim::channel_model::StaticChannels;
-use crn_sim::{Network, SimError};
+use crn_sim::{Jammed, Network, OracleSingleHop, SimError};
 
 /// Statistics of one jammed broadcast run.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,11 +60,9 @@ pub fn jammed_budget(n: usize, c: usize, k: usize, alpha: f64) -> u64 {
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] from model or network construction.
-///
-/// # Panics
-///
-/// Panics unless `k < c/2`.
+/// Returns [`SimError::InvalidParams`] unless `k < c/2` (the Theorem 18
+/// regime), and propagates [`SimError`] from model or network
+/// construction.
 ///
 /// # Examples
 ///
@@ -82,13 +80,23 @@ pub fn run_jammed_broadcast(
     seed: u64,
     alpha: f64,
 ) -> Result<JammedRun, SimError> {
+    if 2 * k >= c {
+        return Err(SimError::InvalidParams {
+            reason: format!("Theorem 18 needs k < c/2 (k = {k}, c = {c})"),
+        });
+    }
     let budget = jammed_budget(n, c, k, alpha);
     let model = StaticChannels::local(full_overlap(n, c)?, seed);
     let mut protos = Vec::with_capacity(n);
     protos.push(CogCast::source(()));
     protos.extend((1..n).map(|_| CogCast::node()));
     let jammer = UniformJammer::new(n, c, k, strategy);
-    let mut net = Network::with_interference(model, protos, seed, Box::new(jammer))?;
+    let mut net = Network::with_medium(
+        model,
+        protos,
+        seed,
+        Jammed::new(OracleSingleHop::new(), Box::new(jammer)),
+    )?;
 
     let mut informed_per_slot = Vec::new();
     let mut slots = None;
@@ -159,6 +167,15 @@ mod tests {
     #[should_panic(expected = "k < c/2")]
     fn out_of_regime_rejected() {
         jammed_budget(4, 6, 3, 10.0);
+    }
+
+    #[test]
+    fn out_of_regime_run_is_an_error() {
+        let err = run_jammed_broadcast(4, 6, 3, JammerStrategy::Random, 1, 10.0).unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidParams { reason } if reason.contains("k < c/2")),
+            "{err:?}"
+        );
     }
 
     #[test]

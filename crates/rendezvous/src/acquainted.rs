@@ -19,7 +19,8 @@
 use crn_sim::rng::derive_rng;
 use crn_sim::rng::SimRng;
 use crn_sim::{
-    Action, ChannelModel, Event, GlobalChannel, LocalChannel, Network, NodeCtx, Protocol, SimError,
+    Action, ChannelModel, Event, GlobalChannel, LocalChannel, Network, NodeCtx, OracleSingleHop,
+    Protocol, SimError,
 };
 use rand::Rng;
 
@@ -295,7 +296,7 @@ pub fn run_acquainted<CM: ChannelModel>(
         Acquainted::initiator(seed.wrapping_mul(3) ^ 0xA),
         Acquainted::responder(seed.wrapping_mul(7) ^ 0xB),
     ];
-    let mut net = Network::new(model, protos, seed)?;
+    let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new())?;
     let outcome = net.run(budget, |n| n.all_done());
     let acquainted_slot = outcome.slots();
     let mut followup_meetings = 0;

@@ -20,7 +20,8 @@ use crate::msg::BaselineMsg;
 use crn_core::aggregate::Aggregate;
 use crn_sim::rng::SimRng;
 use crn_sim::{
-    Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, NodeId, Protocol, SimError,
+    Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, NodeId, OracleSingleHop, Protocol,
+    SimError,
 };
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -205,7 +206,7 @@ pub fn run_baseline_aggregation<CM: ChannelModel, V: Aggregate>(
     let mut protos = Vec::with_capacity(n);
     protos.push(RendezvousAggregation::source(source_value, n));
     protos.extend(values.map(RendezvousAggregation::node));
-    let mut net = Network::new(model, protos, seed)?;
+    let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new())?;
     let outcome = net.run_to_completion(budget);
     let slots = outcome.slots();
     let protos = net.into_protocols();

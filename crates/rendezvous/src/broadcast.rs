@@ -10,7 +10,10 @@
 //! `O((c/k)·max{1, c/n}·lg n)`.
 
 use crn_sim::rng::SimRng;
-use crn_sim::{Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, Protocol, SimError};
+use crn_sim::{
+    Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, OracleSingleHop, Protocol,
+    SimError,
+};
 use rand::Rng;
 
 /// A node of the rendezvous-broadcast baseline.
@@ -118,7 +121,7 @@ pub fn run_baseline_broadcast<CM: ChannelModel>(
     let mut protos = Vec::with_capacity(n);
     protos.push(RendezvousBroadcast::source(()));
     protos.extend((1..n).map(|_| RendezvousBroadcast::node()));
-    let mut net = Network::new(model, protos, seed)?;
+    let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new())?;
 
     let mut informed_per_slot = Vec::new();
     let mut slots = None;

@@ -34,7 +34,8 @@
 
 use crn_sim::rng::SimRng;
 use crn_sim::{
-    Action, ChannelModel, Event, GlobalChannel, LocalChannel, Network, NodeCtx, Protocol, SimError,
+    Action, ChannelModel, Event, GlobalChannel, LocalChannel, Network, NodeCtx, OracleSingleHop,
+    Protocol, SimError,
 };
 
 /// Returns the smallest prime `>= n` (and `>= 2`).
@@ -234,7 +235,7 @@ pub fn jump_stay_rendezvous_slots<CM: ChannelModel>(
     }
     let total = model.total_channels();
     let protos = vec![JumpStay::beaconer(total, 0), JumpStay::listener(total, 1)];
-    let mut net = Network::new(model, protos, seed)?;
+    let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new())?;
     Ok(net.run(budget, |n| n.all_done()).slots())
 }
 

@@ -8,7 +8,10 @@
 //! rendezvous-based protocols.
 
 use crn_sim::rng::SimRng;
-use crn_sim::{Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, Protocol, SimError};
+use crn_sim::{
+    Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, OracleSingleHop, Protocol,
+    SimError,
+};
 use rand::Rng;
 
 /// A node running uniform random channel hopping. Node 0 beacons; node 1
@@ -97,7 +100,7 @@ pub fn rendezvous_slots<CM: ChannelModel>(
         });
     }
     let protos = vec![RandomHop::beaconer(), RandomHop::listener()];
-    let mut net = Network::new(model, protos, seed)?;
+    let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new())?;
     Ok(net.run(budget, |n| n.all_done()).slots())
 }
 

@@ -374,7 +374,7 @@ fn check_overlap<CM: ChannelModel + ?Sized>(
 /// use crn_sim::channel_model::StaticChannels;
 /// use crn_sim::conformance::replay_winners;
 /// use crn_sim::rng::SimRng;
-/// use crn_sim::{Action, Event, LocalChannel, Network, NodeCtx, Protocol};
+/// use crn_sim::{Action, Event, LocalChannel, Network, NodeCtx, OracleSingleHop, Protocol};
 ///
 /// struct Shout;
 /// impl Protocol<u8> for Shout {
@@ -385,7 +385,8 @@ fn check_overlap<CM: ChannelModel + ?Sized>(
 /// }
 ///
 /// let model = StaticChannels::global(full_overlap(3, 1)?);
-/// let mut net = Network::new(model, vec![Shout, Shout, Shout], 7)?;
+/// let protos = vec![Shout, Shout, Shout];
+/// let mut net = Network::with_medium(model, protos, 7, OracleSingleHop::new())?;
 /// let trace: Vec<_> = (0..20).map(|_| net.step().clone()).collect();
 /// assert!(replay_winners(7, &trace).is_empty());
 /// # Ok::<(), crn_sim::SimError>(())
@@ -613,7 +614,13 @@ mod tests {
             fn observe(&mut self, _: &NodeCtx<'_>, _: Event<u8>) {}
         }
         let m = StaticChannels::global(full_overlap(3, 1).expect("valid"));
-        let mut net = crate::Network::new(m, vec![Shout, Shout, Shout], 11).expect("construct");
+        let mut net = crate::Network::with_medium(
+            m,
+            vec![Shout, Shout, Shout],
+            11,
+            crate::OracleSingleHop::new(),
+        )
+        .expect("construct");
         let mut trace: Vec<SlotActivity> = (0..50).map(|_| net.step().clone()).collect();
         assert_eq!(replay_winners(11, &trace), vec![]);
         // Flip one winner to a different legitimate broadcaster: the

@@ -7,32 +7,32 @@
 //! 1. at the start of each slot every node picks an action (broadcast /
 //!    listen / sleep) on one of its `c` channels, addressed by local
 //!    label;
-//! 2. the engine translates local labels to global channels and applies
-//!    interference;
+//! 2. the engine translates local labels to global channels;
 //! 3. the medium resolves contention — under the default
 //!    [`OracleSingleHop`], on each channel with at least one
 //!    transmission one transmission (chosen uniformly at random)
 //!    succeeds: all listeners on the channel receive it, the winner
 //!    learns it succeeded, and the losing broadcasters both learn they
-//!    failed *and* receive the winning message;
+//!    failed *and* receive the winning message; a jamming adversary is
+//!    a medium wrapper ([`crate::interference::Jammed`]) that removes
+//!    the jammed nodes before the inner medium resolves the rest;
 //! 4. every non-sleeping node observes the outcome.
 //!
 //! Everything around step 3 — protocol driving, label translation,
-//! interference/jamming, fault wrappers, tracing, conformance checking
-//! — is medium-agnostic and written once here; swapping the medium
-//! (multi-hop topology, physical decay backoff) swaps only the
-//! resolution rule.
+//! fault wrappers, tracing, conformance checking — is medium-agnostic
+//! and written once here; swapping the medium (multi-hop topology,
+//! physical decay backoff, jamming) swaps only the resolution rule.
 //!
 //! The engine is fully deterministic given its seed: per-node protocol
-//! RNGs, the medium's resolution RNG, and the interference RNG are all
-//! derived from the master seed on independent streams, and winner
+//! RNGs and the medium's RNGs (resolution, and the jammer's under
+//! [`crate::interference::Jammed`]) are all derived from the master
+//! seed on independent streams, and winner
 //! draws advance the medium's stream in ascending channel order, so
 //! they are reproducible.
 
 use crate::channel_model::ChannelModel;
 use crate::error::SimError;
 use crate::ids::NodeId;
-use crate::interference::Interference;
 use crate::medium::{Medium, OracleSingleHop, SlotInputs};
 use crate::pool::WorkerPool;
 use crate::proto::{Action, Event, NodeCtx, Protocol};
@@ -100,133 +100,6 @@ impl RunOutcome {
     }
 }
 
-/// A consuming builder for [`Network`], convenient when protocols are
-/// assembled incrementally, interference is optional, or the medium is
-/// non-default.
-///
-/// # Examples
-///
-/// ```
-/// use crn_sim::assignment::full_overlap;
-/// use crn_sim::channel_model::StaticChannels;
-/// use crn_sim::engine::NetworkBuilder;
-/// use crn_sim::{Action, Event, NodeCtx, Protocol};
-/// use crn_sim::rng::SimRng;
-///
-/// struct Quiet;
-/// impl Protocol<u8> for Quiet {
-///     fn decide(&mut self, _: &NodeCtx<'_>, _: &mut SimRng) -> Action<u8> { Action::Sleep }
-///     fn observe(&mut self, _: &NodeCtx<'_>, _: Event<u8>) {}
-/// }
-///
-/// let model = StaticChannels::global(full_overlap(2, 1)?);
-/// let mut net = NetworkBuilder::new(model)
-///     .seed(9)
-///     .protocol(Quiet)
-///     .protocol(Quiet)
-///     .build()?;
-/// net.step();
-/// assert_eq!(net.slot(), 1);
-/// # Ok::<(), crn_sim::SimError>(())
-/// ```
-#[allow(missing_debug_implementations)] // protocols and interference are user types
-pub struct NetworkBuilder<M, P, CM, Med = OracleSingleHop> {
-    model: CM,
-    protocols: Vec<P>,
-    seed: u64,
-    interference: Option<Box<dyn Interference>>,
-    medium: Med,
-    _marker: std::marker::PhantomData<M>,
-}
-
-impl<M, P, CM> NetworkBuilder<M, P, CM>
-where
-    M: Clone,
-    P: Protocol<M>,
-    CM: ChannelModel,
-{
-    /// Starts a builder over `model` (seed 0, no protocols, no
-    /// interference, single-hop oracle medium, sequential stepping).
-    pub fn new(model: CM) -> Self {
-        NetworkBuilder {
-            model,
-            protocols: Vec::new(),
-            seed: 0,
-            interference: None,
-            medium: OracleSingleHop::new(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<M, P, CM, Med> NetworkBuilder<M, P, CM, Med>
-where
-    M: Clone,
-    P: Protocol<M>,
-    CM: ChannelModel,
-    Med: Medium<M>,
-{
-    /// Sets the master seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Appends one protocol instance (node ids follow insertion order).
-    #[must_use]
-    pub fn protocol(mut self, protocol: P) -> Self {
-        self.protocols.push(protocol);
-        self
-    }
-
-    /// Appends protocol instances in bulk.
-    #[must_use]
-    pub fn protocols(mut self, protocols: impl IntoIterator<Item = P>) -> Self {
-        self.protocols.extend(protocols);
-        self
-    }
-
-    /// Installs an interference model.
-    #[must_use]
-    pub fn interference(mut self, interference: Box<dyn Interference>) -> Self {
-        self.interference = Some(interference);
-        self
-    }
-
-    /// Replaces the medium (type-changing: the builder tracks the new
-    /// medium type).
-    #[must_use]
-    pub fn medium<Med2: Medium<M>>(self, medium: Med2) -> NetworkBuilder<M, P, CM, Med2> {
-        NetworkBuilder {
-            model: self.model,
-            protocols: self.protocols,
-            seed: self.seed,
-            interference: self.interference,
-            medium,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Builds the network.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ProtocolCountMismatch`] if the number of
-    /// protocols differs from the model's node count, and
-    /// [`SimError::InvalidParams`] if the medium is built for another
-    /// node count.
-    pub fn build(self) -> Result<Network<M, P, CM, Med>, SimError> {
-        Network::assemble(
-            self.model,
-            self.protocols,
-            self.seed,
-            self.interference,
-            self.medium,
-        )
-    }
-}
-
 /// A simulated cognitive radio network.
 ///
 /// Generic over the message type `M`, the per-node protocol `P`, the
@@ -238,7 +111,7 @@ where
 /// ```
 /// use crn_sim::assignment::full_overlap;
 /// use crn_sim::channel_model::StaticChannels;
-/// use crn_sim::{Action, Event, LocalChannel, Network, NodeCtx, Protocol};
+/// use crn_sim::{Action, Event, LocalChannel, Network, NodeCtx, OracleSingleHop, Protocol};
 /// use crn_sim::rng::SimRng;
 ///
 /// /// Node 0 shouts; everyone else listens on the only channel.
@@ -260,19 +133,18 @@ where
 /// }
 ///
 /// let model = StaticChannels::global(full_overlap(3, 1)?);
-/// let mut net = Network::new(model, vec![Shout(false), Shout(false), Shout(false)], 7)?;
+/// let protos = vec![Shout(false), Shout(false), Shout(false)];
+/// let mut net = Network::with_medium(model, protos, 7, OracleSingleHop::new())?;
 /// net.step();
 /// assert!(net.protocols()[1].is_done());
 /// assert!(net.protocols()[2].is_done());
 /// # Ok::<(), crn_sim::SimError>(())
 /// ```
-#[allow(missing_debug_implementations)] // protocols and interference are user types
+#[allow(missing_debug_implementations)] // protocols are user types
 pub struct Network<M, P, CM, Med = OracleSingleHop> {
     model: CM,
     protocols: Vec<P>,
     node_rngs: Vec<SimRng>,
-    jam_rng: SimRng,
-    interference: Option<Box<dyn Interference>>,
     medium: Med,
     slot: u64,
     activity: SlotActivity,
@@ -299,10 +171,6 @@ pub struct Network<M, P, CM, Med = OracleSingleHop> {
 struct Scratch<M> {
     /// Phase A: each node's chosen action this slot.
     actions: Vec<Action<M>>,
-    /// Phase B: per node, whether interference suppressed it this slot.
-    jammed_nodes: Vec<bool>,
-    /// Phase B: committed tunings shown to adaptive interference.
-    intents: Vec<crate::interference::Intent>,
     /// Phase B: `(channel, node, is_broadcast)` in ascending node order
     /// — the medium's [`SlotInputs::tuned`].
     tuned: Vec<(crate::ids::GlobalChannel, usize, bool)>,
@@ -314,52 +182,9 @@ impl<M> Default for Scratch<M> {
     fn default() -> Self {
         Scratch {
             actions: Vec::new(),
-            jammed_nodes: Vec::new(),
-            intents: Vec::new(),
             tuned: Vec::new(),
             events: Vec::new(),
         }
-    }
-}
-
-impl<M, P, CM> Network<M, P, CM>
-where
-    M: Clone,
-    P: Protocol<M>,
-    CM: ChannelModel,
-{
-    /// Creates a network with no interference, on the default
-    /// single-hop oracle medium.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ProtocolCountMismatch`] if `protocols.len()`
-    /// differs from the model's node count.
-    pub fn new(model: CM, protocols: Vec<P>, seed: u64) -> Result<Self, SimError> {
-        Self::assemble(model, protocols, seed, None, OracleSingleHop::new())
-    }
-
-    /// Creates a network subject to an [`Interference`] model (used by
-    /// the jamming experiments of Theorem 18), on the default
-    /// single-hop oracle medium.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ProtocolCountMismatch`] if `protocols.len()`
-    /// differs from the model's node count.
-    pub fn with_interference(
-        model: CM,
-        protocols: Vec<P>,
-        seed: u64,
-        interference: Box<dyn Interference>,
-    ) -> Result<Self, SimError> {
-        Self::assemble(
-            model,
-            protocols,
-            seed,
-            Some(interference),
-            OracleSingleHop::new(),
-        )
     }
 }
 
@@ -370,9 +195,11 @@ where
     CM: ChannelModel,
     Med: Medium<M>,
 {
-    /// Creates a network over an explicit [`Medium`] (no interference).
+    /// Creates a network over `medium`: [`OracleSingleHop`] for the
+    /// paper's collision oracle, or any other [`Medium`] — wrapped in
+    /// [`crate::interference::Jammed`] for a jamming adversary.
     ///
-    /// The medium's RNG stream is re-derived from `seed`.
+    /// The medium's RNG streams are re-derived from `seed`.
     ///
     /// # Errors
     ///
@@ -384,16 +211,6 @@ where
         model: CM,
         protocols: Vec<P>,
         seed: u64,
-        medium: Med,
-    ) -> Result<Self, SimError> {
-        Self::assemble(model, protocols, seed, None, medium)
-    }
-
-    fn assemble(
-        model: CM,
-        protocols: Vec<P>,
-        seed: u64,
-        interference: Option<Box<dyn Interference>>,
         mut medium: Med,
     ) -> Result<Self, SimError> {
         if protocols.len() != model.n() {
@@ -418,8 +235,6 @@ where
             model,
             protocols,
             node_rngs,
-            jam_rng: derive_rng(seed, streams::JAMMER),
-            interference,
             medium,
             slot: 0,
             activity: SlotActivity::default(),
@@ -438,11 +253,6 @@ where
     /// The channel model.
     pub fn model(&self) -> &CM {
         &self.model
-    }
-
-    /// The installed interference model, if any.
-    pub fn interference(&self) -> Option<&dyn Interference> {
-        self.interference.as_deref()
     }
 
     /// The slot-resolution medium.
@@ -480,7 +290,7 @@ where
         }
         crate::conformance::check_slot_for(
             &self.model,
-            self.interference(),
+            self.medium.interference(),
             &self.activity,
             self.medium.profile(),
         )
@@ -567,9 +377,6 @@ where
         let global_labels = self.model.labels_are_global();
 
         self.model.advance(slot);
-        if let Some(intf) = self.interference.as_mut() {
-            intf.advance(slot, &mut self.jam_rng);
-        }
 
         // Phase A: collect decisions.
         self.scratch.actions.clear();
@@ -597,81 +404,32 @@ where
             self.scratch.actions.push(action);
         }
 
-        // Phase B: translate to global channels, show the committed
-        // intents to an adaptive adversary, and apply interference.
-        self.scratch.jammed_nodes.clear();
-        self.scratch.jammed_nodes.resize(n, false);
+        // Phase B: translate to global channels.
         let mut sleepers = 0usize;
-        let mut jammed_count = 0usize;
         self.scratch.tuned.clear();
-        if self.interference.is_some() {
-            // Interference is adaptive: the committed intents must be
-            // shown to the adversary before jamming is applied.
-            self.scratch.intents.clear();
-            for (i, action) in self.scratch.actions.iter().enumerate() {
-                let Some(local) = action.channel() else {
-                    sleepers += 1;
-                    continue;
-                };
-                self.scratch.intents.push(crate::interference::Intent {
-                    node: NodeId(i as u32),
-                    channel: self.model.channels(i)[local.index()],
-                    broadcast: action.is_broadcast(),
-                });
-            }
-            if let Some(intf) = self.interference.as_mut() {
-                intf.observe_intents(slot, &self.scratch.intents);
-            }
-            for intent in &self.scratch.intents {
-                let jammed = self
-                    .interference
-                    .as_ref()
-                    .is_some_and(|intf| intf.is_jammed(intent.node, intent.channel));
-                if jammed {
-                    self.scratch.jammed_nodes[intent.node.index()] = true;
-                    jammed_count += 1;
-                } else {
-                    self.scratch.tuned.push((
-                        intent.channel,
-                        intent.node.index(),
-                        intent.broadcast,
-                    ));
-                }
-            }
-        } else {
-            // No adversary: tune directly, skipping the intent staging.
-            for (i, action) in self.scratch.actions.iter().enumerate() {
-                let Some(local) = action.channel() else {
-                    sleepers += 1;
-                    continue;
-                };
-                self.scratch.tuned.push((
-                    self.model.channels(i)[local.index()],
-                    i,
-                    action.is_broadcast(),
-                ));
-            }
+        for (i, action) in self.scratch.actions.iter().enumerate() {
+            let Some(local) = action.channel() else {
+                sleepers += 1;
+                continue;
+            };
+            self.scratch.tuned.push((
+                self.model.channels(i)[local.index()],
+                i,
+                action.is_broadcast(),
+            ));
         }
 
-        // Phase C: the medium resolves contention. Jammed nodes are
-        // pre-filled (they hear noise regardless of substrate); the
-        // medium fills in every tuned participant and this slot's
-        // channel records.
+        // Phase C: the medium resolves contention, filling in every
+        // tuned participant's event and this slot's channel records.
         self.activity.slot = slot;
         self.activity.sleepers = sleepers;
-        self.activity.jammed = jammed_count;
+        self.activity.jammed = 0;
         self.scratch.events.clear();
         self.scratch.events.resize(n, None);
-        for (i, &jammed) in self.scratch.jammed_nodes.iter().enumerate() {
-            if jammed {
-                self.scratch.events[i] = Some(Event::Jammed);
-            }
-        }
         let Scratch {
             actions,
             tuned,
             events,
-            ..
         } = &mut self.scratch;
         self.medium.resolve(
             &SlotInputs {
@@ -813,7 +571,7 @@ mod tests {
 
     fn one_channel_net(protos: Vec<Scripted>) -> Network<u32, Scripted, StaticChannels> {
         let model = StaticChannels::global(full_overlap(protos.len(), 1).unwrap());
-        Network::new(model, protos, 1).unwrap()
+        Network::with_medium(model, protos, 1, OracleSingleHop::new()).unwrap()
     }
 
     #[test]
@@ -913,7 +671,7 @@ mod tests {
             Scripted::new(vec![Action::Broadcast(LocalChannel(1), 9)]),
             Scripted::new(vec![Action::Listen(LocalChannel(1))]),
         ];
-        let mut net = Network::new(model, protos, 3).unwrap();
+        let mut net = Network::with_medium(model, protos, 3, OracleSingleHop::new()).unwrap();
         net.step();
         let p = net.protocols();
         assert_eq!(p[0].events, vec![Event::Delivered]);
@@ -928,7 +686,7 @@ mod tests {
             Scripted::new(vec![Action::Broadcast(LocalChannel(0), 9)]),
             Scripted::new(vec![Action::Listen(LocalChannel(0))]),
         ];
-        let mut net = Network::new(model, protos, 3).unwrap();
+        let mut net = Network::with_medium(model, protos, 3, OracleSingleHop::new()).unwrap();
         net.step();
         assert_eq!(
             net.protocols()[1].events,
@@ -944,7 +702,7 @@ mod tests {
         let model = StaticChannels::global(full_overlap(3, 1).unwrap());
         let protos = vec![Scripted::new(vec![Action::Sleep])];
         assert!(matches!(
-            Network::new(model, protos, 0).err(),
+            Network::with_medium(model, protos, 0, OracleSingleHop::new()).err(),
             Some(SimError::ProtocolCountMismatch {
                 nodes: 3,
                 protocols: 1
@@ -968,7 +726,8 @@ mod tests {
                 Scripted::new(vec![Action::Broadcast(LocalChannel(0), 2)]),
                 Scripted::new(vec![Action::Listen(LocalChannel(0))]),
             ];
-            let mut net = Network::new(model, protos, seed).unwrap();
+            let mut net =
+                Network::with_medium(model, protos, seed, OracleSingleHop::new()).unwrap();
             net.run_slots(50);
             net.into_protocols().into_iter().map(|p| p.events).collect()
         };
@@ -993,78 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn jammed_nodes_observe_jammed_and_do_not_participate() {
-        use crate::interference::{Intent, Interference};
-
-        /// Jams global channel 0 for node 1 only.
-        struct JamOneForOne;
-        impl Interference for JamOneForOne {
-            fn advance(&mut self, _slot: u64, _rng: &mut SimRng) {}
-            fn is_jammed(&self, node: NodeId, channel: GlobalChannel) -> bool {
-                node == NodeId(1) && channel == GlobalChannel(0)
-            }
-        }
-
-        let model = StaticChannels::global(full_overlap(3, 1).unwrap());
-        let protos = vec![
-            Scripted::new(vec![Action::Broadcast(LocalChannel(0), 7)]),
-            Scripted::new(vec![Action::Listen(LocalChannel(0))]),
-            Scripted::new(vec![Action::Listen(LocalChannel(0))]),
-        ];
-        let mut net = Network::with_interference(model, protos, 1, Box::new(JamOneForOne)).unwrap();
-        let activity = net.step().clone();
-        assert_eq!(activity.jammed, 1);
-        let p = net.into_protocols();
-        assert_eq!(p[0].events, vec![Event::Delivered]);
-        assert_eq!(
-            p[1].events,
-            vec![Event::Jammed],
-            "jammed listener hears noise"
-        );
-        assert_eq!(
-            p[2].events,
-            vec![Event::Received {
-                from: NodeId(0),
-                msg: 7
-            }],
-            "unjammed listener still receives"
-        );
-        // The jammed node is excluded from the channel's listener list.
-        let ch = activity.on_channel(GlobalChannel(0)).unwrap();
-        assert_eq!(ch.listeners, vec![NodeId(2)]);
-
-        // Adaptive hook sanity: intents carry the committed tunings.
-        struct CaptureIntents(std::sync::Arc<std::sync::Mutex<Vec<Intent>>>);
-        impl Interference for CaptureIntents {
-            fn advance(&mut self, _slot: u64, _rng: &mut SimRng) {}
-            fn observe_intents(&mut self, _slot: u64, intents: &[Intent]) {
-                self.0.lock().unwrap().extend_from_slice(intents);
-            }
-            fn is_jammed(&self, _node: NodeId, _channel: GlobalChannel) -> bool {
-                false
-            }
-        }
-        let captured = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let model = StaticChannels::global(full_overlap(2, 1).unwrap());
-        let protos = vec![
-            Scripted::new(vec![Action::Broadcast(LocalChannel(0), 1)]),
-            Scripted::new(vec![Action::Listen(LocalChannel(0))]),
-        ];
-        let mut net = Network::with_interference(
-            model,
-            protos,
-            2,
-            Box::new(CaptureIntents(captured.clone())),
-        )
-        .unwrap();
-        net.step();
-        let intents = captured.lock().unwrap().clone();
-        assert_eq!(intents.len(), 2);
-        assert!(intents[0].broadcast && !intents[1].broadcast);
-        assert_eq!(intents[0].channel, GlobalChannel(0));
-    }
-
-    #[test]
     fn run_returns_done_with_slot_count() {
         let mut net = one_channel_net(vec![
             Scripted::new(vec![Action::Broadcast(LocalChannel(0), 5)]),
@@ -1072,63 +759,6 @@ mod tests {
         ]);
         let outcome = net.run(10, |n| !n.protocols()[1].events.is_empty());
         assert_eq!(outcome, RunOutcome::Done { slots: 1 });
-    }
-
-    #[test]
-    fn builder_matches_direct_construction() {
-        let build = |via_builder: bool| -> Vec<Event<u32>> {
-            let model = StaticChannels::global(full_overlap(2, 1).unwrap());
-            let protos = vec![
-                Scripted::new(vec![Action::Broadcast(LocalChannel(0), 5)]),
-                Scripted::new(vec![Action::Listen(LocalChannel(0))]),
-            ];
-            let mut net = if via_builder {
-                NetworkBuilder::new(model)
-                    .seed(4)
-                    .protocols(protos)
-                    .build()
-                    .unwrap()
-            } else {
-                Network::new(model, protos, 4).unwrap()
-            };
-            net.run_slots(8);
-            net.into_protocols().remove(1).events
-        };
-        assert_eq!(build(true), build(false));
-    }
-
-    #[test]
-    fn builder_rejects_wrong_protocol_count() {
-        let model = StaticChannels::global(full_overlap(3, 1).unwrap());
-        let result = NetworkBuilder::<u32, Scripted, _>::new(model)
-            .protocol(Scripted::new(vec![Action::Sleep]))
-            .build();
-        assert!(matches!(
-            result.err(),
-            Some(SimError::ProtocolCountMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn builder_swaps_media() {
-        use crate::medium::PhysicalDecay;
-        let model = StaticChannels::global(full_overlap(2, 1).unwrap());
-        let mut net = NetworkBuilder::new(model)
-            .seed(4)
-            .protocol(Scripted::new(vec![Action::Broadcast(LocalChannel(0), 5)]))
-            .protocol(Scripted::new(vec![Action::Listen(LocalChannel(0))]))
-            .medium(PhysicalDecay::new())
-            .build()
-            .unwrap();
-        net.step();
-        assert!(net.medium().physical_rounds() > 0);
-        assert_eq!(
-            net.protocols()[1].events,
-            vec![Event::Received {
-                from: NodeId(0),
-                msg: 5
-            }]
-        );
     }
 
     #[test]
@@ -1166,7 +796,7 @@ mod tests {
                 decides: 0,
             })
             .collect();
-        let mut net = Network::new(model, protos, 0).unwrap();
+        let mut net = Network::with_medium(model, protos, 0, OracleSingleHop::new()).unwrap();
         assert!(!net.all_done(), "fallback scan before any step");
         let outcome = net.run_to_completion(100);
         assert_eq!(

@@ -13,8 +13,8 @@
 //! - the randomized collision model: one uniformly-chosen transmission
 //!   per contended channel succeeds, everyone listening receives it,
 //!   broadcasters get success feedback, and losers overhear the winner;
-//! - static *and* dynamic channel assignments, plus an interference hook
-//!   for the jamming setting of Theorem 18.
+//! - static *and* dynamic channel assignments, plus a jamming medium
+//!   wrapper for the setting of Theorem 18.
 //!
 //! Protocols implement [`Protocol`]; the engine is [`Network`].
 //!
@@ -23,7 +23,7 @@
 //! ```
 //! use crn_sim::assignment::shared_core;
 //! use crn_sim::channel_model::StaticChannels;
-//! use crn_sim::{Action, Event, LocalChannel, Network, NodeCtx, Protocol};
+//! use crn_sim::{Action, Event, LocalChannel, Network, NodeCtx, OracleSingleHop, Protocol};
 //! use crn_sim::rng::SimRng;
 //! use rand::Rng;
 //!
@@ -53,7 +53,7 @@
 //! let assignment = shared_core(4, 3, 2)?;
 //! let model = StaticChannels::local(assignment, 7);
 //! let protos = (0..4).map(|i| Hop { heard: i == 0 }).collect();
-//! let mut net = Network::new(model, protos, 7)?;
+//! let mut net = Network::with_medium(model, protos, 7, OracleSingleHop::new())?;
 //! let outcome = net.run_to_completion(10_000);
 //! assert!(outcome.is_done());
 //! # Ok::<(), crn_sim::SimError>(())
@@ -81,11 +81,11 @@ pub mod trace;
 pub use assignment::{ChannelAssignment, OverlapPattern};
 pub use channel_model::{ChannelModel, DynamicSharedCore, StaticChannels};
 pub use conformance::{check_slot, check_slot_for, replay_winners, Rule, Violation};
-pub use engine::{Network, NetworkBuilder, ParConfig, RunOutcome, DEFAULT_PAR_THRESHOLD};
+pub use engine::{Network, ParConfig, RunOutcome, DEFAULT_PAR_THRESHOLD};
 pub use error::SimError;
 pub use faults::{FaultSchedule, Flaky};
 pub use ids::{GlobalChannel, LocalChannel, NodeId};
-pub use interference::{Intent, Interference, NoInterference};
+pub use interference::{Intent, Interference, Jammed};
 pub use medium::{
     Medium, MediumProfile, OracleMultihop, OracleSingleHop, PhysicalDecay, SlotInputs,
 };

@@ -8,8 +8,9 @@
 //! decides who hears what and records the physical-layer activity. The
 //! engine ([`crate::Network`]) keeps everything that is substrate
 //! independent: protocol driving, local→global label translation,
-//! interference/jamming, fault wrappers, tracing, and the `validate`
-//! conformance hook.
+//! fault wrappers, tracing, and the `validate` conformance hook.
+//! Jamming is a medium layer: [`crate::interference::Jammed`] wraps
+//! any medium and hands it the unjammed remainder of the slot.
 //!
 //! Three implementations ship here. The two single-hop media share one
 //! skeleton — group the participants by channel, pick each channel's
@@ -31,13 +32,20 @@
 //!   per channel (footnote 4, [`decay_episode`]), on the dedicated
 //!   `PHYSICAL` RNG stream. Physical-round counts and failed episodes
 //!   are exposed as medium metadata.
+//!
+//! The same episode also runs on its own, outside any network:
+//! [`resolve_contention`] resolves `m ≤ n_max` stations in
+//! `O(log² n_max)` rounds w.h.p. with a uniform winner by symmetry,
+//! and [`mean_rounds_per_slot`] averages its cost (experiment F10).
 
+use crate::error::SimError;
 use crate::ids::{GlobalChannel, NodeId};
+use crate::interference::Interference;
 use crate::proto::{Action, Event};
 use crate::rng::{derive_rng, streams, SimRng};
 use crate::topology::Topology;
 use crate::trace::{ChannelActivity, SlotActivity};
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// Static facts about a medium that the conformance layer needs in
 /// order to know which Section 2 clauses apply.
@@ -67,9 +75,11 @@ impl MediumProfile {
 
 /// Everything the engine hands a medium for one slot.
 ///
-/// `tuned` lists each non-sleeping, non-jammed node exactly once as
-/// `(global_channel, node, is_broadcast)`, in ascending node order —
-/// local labels already translated, interference already applied.
+/// `tuned` lists each non-sleeping node exactly once as
+/// `(global_channel, node, is_broadcast)`, in ascending node order,
+/// local labels already translated. A wrapping medium such as
+/// [`crate::interference::Jammed`] hands its inner medium a filtered
+/// copy (the unjammed remainder).
 #[derive(Debug)]
 pub struct SlotInputs<'a, M> {
     /// The slot being resolved.
@@ -78,8 +88,8 @@ pub struct SlotInputs<'a, M> {
     pub n: usize,
     /// Size of the global channel space.
     pub total_channels: usize,
-    /// Each node's committed action (indexed by node; jammed nodes'
-    /// actions are present but must be ignored — they are not tuned).
+    /// Each node's committed action (indexed by node; the actions of
+    /// nodes absent from `tuned` must be ignored).
     pub actions: &'a [Action<M>],
     /// The participating `(channel, node, is_broadcast)` triples, in
     /// ascending node order.
@@ -100,11 +110,13 @@ pub struct SlotInputs<'a, M> {
 ///
 /// Contract:
 ///
-/// - `events` arrives with `None` for every sleeper and participant
-///   and `Some(Event::Jammed)` for jammed nodes; the medium must set
-///   `events[i]` for exactly the nodes in `inputs.tuned`.
-/// - `activity` arrives with `slot`, `sleepers` and `jammed` already
-///   set and `channels` still holding the records of the last slot
+/// - From the engine, `events` arrives all `None`; the medium must set
+///   `events[i]` for exactly the nodes in `inputs.tuned`. A wrapper
+///   that filters `tuned` sets the events of the nodes it removes
+///   itself.
+/// - `activity` arrives with `slot` and `sleepers` set, `jammed` at 0
+///   (a jamming wrapper counts its jammed nodes there), and
+///   `channels` still holding the records of the last slot
 ///   that built them (for buffer recycling). When
 ///   [`SlotInputs::records`] is `true` the medium replaces them with
 ///   this slot's records, sorted ascending by channel. When it is
@@ -118,7 +130,8 @@ pub struct SlotInputs<'a, M> {
 ///   records.
 /// - All randomness comes from the medium's own stream, reseeded via
 ///   [`Medium::reseed`] when the network is built — never from the
-///   per-node or jammer streams.
+///   per-node streams, and never from another layer's stream (a
+///   jamming wrapper draws only from `JAMMER`).
 pub trait Medium<M: Clone> {
     /// Re-derives the medium's RNG stream(s) from the master seed.
     fn reseed(&mut self, master: u64);
@@ -139,6 +152,14 @@ pub trait Medium<M: Clone> {
     /// rejects a channel model of any other size at construction. A
     /// medium that wraps another forwards this to the inner one.
     fn node_count(&self) -> Option<usize> {
+        None
+    }
+
+    /// The interference model this medium applies, if any (the
+    /// conformance validator checks its jam clauses against it).
+    /// `None` by default; [`crate::interference::Jammed`] returns its
+    /// adversary.
+    fn interference(&self) -> Option<&dyn Interference> {
         None
     }
 }
@@ -677,9 +698,6 @@ impl<M: Clone> Medium<M> for OracleMultihop {
 /// Number of rounds per decay epoch for a population bound `n_max`
 /// (footnote 4): `⌈log₂ n_max⌉ + 1`.
 ///
-/// The canonical home of the decay-backoff arithmetic;
-/// `crn_backoff::decay` re-exports it.
-///
 /// # Examples
 ///
 /// ```
@@ -744,6 +762,90 @@ pub fn decay_episode(
         }
     }
     (None, max_rounds)
+}
+
+/// The result of resolving one contention episode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ContentionResult {
+    /// The station whose message got through.
+    pub winner: usize,
+    /// Physical rounds consumed before the success.
+    pub rounds: u64,
+}
+
+/// Runs decay backoff among `m` contenders until one succeeds, or
+/// `max_rounds` pass: [`decay_episode`] behind argument checks, on a
+/// population bound `n_max` — the standalone contention resolution
+/// that `crn backoff` and experiment F10 measure.
+///
+/// Returns `Ok(None)` only if the round budget is exhausted (for sane
+/// budgets like `8·epoch_len(n_max)²` this is vanishingly rare).
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidParams`] if `m == 0` or `m > n_max`.
+///
+/// # Examples
+///
+/// ```
+/// use crn_sim::medium::resolve_contention;
+/// use crn_sim::SimRng;
+/// use rand::SeedableRng;
+/// let mut rng = SimRng::seed_from_u64(1);
+/// let r = resolve_contention(5, 16, 10_000, &mut rng)?.unwrap();
+/// assert!(r.winner < 5);
+/// # Ok::<(), crn_sim::SimError>(())
+/// ```
+pub fn resolve_contention(
+    m: usize,
+    n_max: usize,
+    max_rounds: u64,
+    rng: &mut SimRng,
+) -> Result<Option<ContentionResult>, SimError> {
+    if m == 0 {
+        return Err(SimError::InvalidParams {
+            reason: "need at least one contender".into(),
+        });
+    }
+    if m > n_max {
+        return Err(SimError::InvalidParams {
+            reason: format!("m = {m} exceeds the population bound n_max = {n_max}"),
+        });
+    }
+    Ok(match decay_episode(m, epoch_len(n_max), max_rounds, rng) {
+        (Some(winner), rounds) => Some(ContentionResult { winner, rounds }),
+        (None, _) => None,
+    })
+}
+
+/// Mean physical rounds per abstract slot for `m` contenders, over
+/// `trials` seeded episodes of [`recommended_rounds`]`(n_max)` rounds
+/// at most — the series behind experiment F10.
+///
+/// Returns `NaN` when no episode completes (including `m == 0`).
+///
+/// # Examples
+///
+/// ```
+/// use crn_sim::medium::mean_rounds_per_slot;
+/// assert_eq!(mean_rounds_per_slot(1, 8, 10, 0), 1.0);
+/// assert!(mean_rounds_per_slot(0, 8, 10, 0).is_nan());
+/// ```
+pub fn mean_rounds_per_slot(m: usize, n_max: usize, trials: usize, seed: u64) -> f64 {
+    let mut total = 0u64;
+    let mut done = 0usize;
+    for t in 0..trials {
+        let mut rng = SimRng::seed_from_u64(seed.wrapping_add(t as u64));
+        if let Ok(Some(r)) = resolve_contention(m, n_max, recommended_rounds(n_max), &mut rng) {
+            total += r.rounds;
+            done += 1;
+        }
+    }
+    if done == 0 {
+        f64::NAN
+    } else {
+        total as f64 / done as f64
+    }
 }
 
 /// The footnote-4 physical realization: no collision oracle anywhere.
@@ -872,7 +974,7 @@ mod tests {
     use crate::channel_model::StaticChannels;
     use crate::ids::LocalChannel;
     use crate::proto::{NodeCtx, Protocol};
-    use crate::{Network, SimError};
+    use crate::{Network, OracleSingleHop};
 
     struct Fixed {
         action: Action<u8>,
@@ -1140,7 +1242,8 @@ mod tests {
                     digest.record(net.step());
                 }
             } else {
-                let mut net = Network::new(model, protos, 7).unwrap();
+                let mut net =
+                    Network::with_medium(model, protos, 7, OracleSingleHop::new()).unwrap();
                 for _ in 0..64 {
                     digest.record(net.step());
                 }
@@ -1297,5 +1400,114 @@ mod tests {
         assert!(!Medium::<u8>::profile(&line).guaranteed_winner);
         let phys = PhysicalDecay::new();
         assert!(!Medium::<u8>::profile(&phys).guaranteed_winner);
+    }
+
+    #[test]
+    fn single_contender_wins_first_round() {
+        let mut rng = SimRng::seed_from_u64(0);
+        let r = resolve_contention(1, 1, 10, &mut rng).unwrap().unwrap();
+        assert_eq!(r.winner, 0);
+        assert_eq!(r.rounds, 1, "p = 1 in round 0 of every epoch");
+    }
+
+    #[test]
+    fn always_resolves_within_recommended_budget() {
+        for n_max in [2usize, 8, 32, 128] {
+            for m in [1usize, 2, n_max / 2 + 1, n_max] {
+                let mut failures = 0;
+                for seed in 0..200 {
+                    let mut rng = SimRng::seed_from_u64(seed);
+                    if resolve_contention(m, n_max, recommended_rounds(n_max), &mut rng)
+                        .unwrap()
+                        .is_none()
+                    {
+                        failures += 1;
+                    }
+                }
+                assert!(
+                    failures <= 2,
+                    "m={m}, n_max={n_max}: {failures}/200 budget misses"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn winner_distribution_is_roughly_uniform() {
+        // By symmetry every contender should win ~equally often — this
+        // is what justifies the abstract model's uniform winner pick.
+        let m = 4;
+        let trials = 4000;
+        let mut wins = vec![0usize; m];
+        for seed in 0..trials {
+            let mut rng = SimRng::seed_from_u64(seed as u64);
+            let r = resolve_contention(m, 16, 10_000, &mut rng)
+                .unwrap()
+                .unwrap();
+            wins[r.winner] += 1;
+        }
+        let expect = trials / m;
+        for (i, &w) in wins.iter().enumerate() {
+            assert!(
+                (w as f64) > expect as f64 * 0.85 && (w as f64) < expect as f64 * 1.15,
+                "station {i} won {w} times, expected ~{expect}"
+            );
+        }
+    }
+
+    #[test]
+    fn rounds_grow_slowly_with_population() {
+        // Mean resolution rounds should scale like log², i.e. far
+        // slower than linearly.
+        let mean = |m: usize, n_max: usize| -> f64 {
+            let trials = 300;
+            let mut total = 0u64;
+            for seed in 0..trials {
+                let mut rng = SimRng::seed_from_u64(seed);
+                total += resolve_contention(m, n_max, 1_000_000, &mut rng)
+                    .unwrap()
+                    .unwrap()
+                    .rounds;
+            }
+            total as f64 / trials as f64
+        };
+        let t_small = mean(4, 4);
+        let t_big = mean(256, 256);
+        // 64x the contenders should cost far less than 64x the rounds.
+        assert!(
+            t_big < t_small * 16.0,
+            "decay not polylogarithmic? {t_small} -> {t_big}"
+        );
+    }
+
+    #[test]
+    fn zero_contenders_rejected() {
+        let mut rng = SimRng::seed_from_u64(0);
+        let err = resolve_contention(0, 4, 10, &mut rng).unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidParams { reason } if reason.contains("at least one contender")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn over_population_rejected() {
+        let mut rng = SimRng::seed_from_u64(0);
+        let err = resolve_contention(9, 4, 10, &mut rng).unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidParams { reason } if reason.contains("exceeds the population bound")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn mean_rounds_stay_polylog() {
+        let small = mean_rounds_per_slot(2, 256, 200, 1);
+        let large = mean_rounds_per_slot(200, 256, 200, 2);
+        assert!(small.is_finite() && large.is_finite());
+        // 100x contenders, same n_max: both bounded by the same
+        // O(log² n_max) budget, and the ratio should be small.
+        assert!(large < small * 12.0, "small={small}, large={large}");
+        assert!(large < 200.0, "rounds per slot implausibly high: {large}");
     }
 }

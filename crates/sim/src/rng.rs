@@ -162,7 +162,8 @@ pub mod streams {
     pub const LABELS: u64 = 0x1AB;
     /// Stream used by dynamic channel models.
     pub const DYNAMIC: u64 = 0xD1C;
-    /// Stream used by interference/jamming models.
+    /// Stream the [`crate::interference::Jammed`] medium hands its
+    /// interference model.
     pub const JAMMER: u64 = 0x1A3;
     /// Stream used by the conformance suite's workload generator.
     pub const WORKLOAD: u64 = 0x3C0F;
@@ -264,8 +265,8 @@ mod tests {
     #[test]
     fn physical_stream_known_answer() {
         // Pin the PHYSICAL stream (decay-backoff transmit coin flips):
-        // the physical-medium experiment columns and crn-backoff's
-        // recorded runs depend on this derivation staying put.
+        // the physical-medium experiment columns and their recorded
+        // runs depend on this derivation staying put.
         let mut r = derive_rng(42, streams::PHYSICAL);
         let first: Vec<u64> = (0..4).map(|_| r.next_u64()).collect();
         assert_eq!(

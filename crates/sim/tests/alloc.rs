@@ -22,7 +22,8 @@ use crn_sim::channel_model::StaticChannels;
 use crn_sim::interference::Interference;
 use crn_sim::rng::SimRng;
 use crn_sim::{
-    Action, Event, GlobalChannel, LocalChannel, Network, NodeCtx, NodeId, PhysicalDecay, Protocol,
+    Action, Event, GlobalChannel, Jammed, LocalChannel, Network, NodeCtx, NodeId, OracleSingleHop,
+    PhysicalDecay, Protocol,
 };
 use rand::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -122,7 +123,8 @@ fn assert_steady_state_alloc_free(mut step: impl FnMut(), label: &str) {
 fn step_is_allocation_free_in_steady_state() {
     let n = 64;
     let model = StaticChannels::local(shared_core(n, 8, 2).unwrap(), 11);
-    let mut net = Network::new(model, hopper_protos(n), 11).unwrap();
+    let mut net =
+        Network::with_medium(model, hopper_protos(n), 11, OracleSingleHop::new()).unwrap();
     assert_steady_state_alloc_free(
         || {
             net.step();
@@ -131,11 +133,14 @@ fn step_is_allocation_free_in_steady_state() {
     );
 
     let model = StaticChannels::local(shared_core(n, 8, 2).unwrap(), 12);
-    let mut jammed_net = Network::with_interference(
+    let mut jammed_net = Network::with_medium(
         model,
         hopper_protos(n),
         12,
-        Box::new(AlternatingJammer { odd_slot: false }),
+        Jammed::new(
+            OracleSingleHop::new(),
+            Box::new(AlternatingJammer { odd_slot: false }),
+        ),
     )
     .unwrap();
     assert_steady_state_alloc_free(
@@ -150,7 +155,8 @@ fn step_is_allocation_free_in_steady_state() {
     // the channel space would show here.
     let n = 1024;
     let model = StaticChannels::local(shared_core(n, 8, 2).unwrap(), 14);
-    let mut lean_net = Network::new(model, hopper_protos(n), 14).unwrap();
+    let mut lean_net =
+        Network::with_medium(model, hopper_protos(n), 14, OracleSingleHop::new()).unwrap();
     assert_steady_state_alloc_free(
         || {
             lean_net.step_unrecorded();

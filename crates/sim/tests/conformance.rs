@@ -11,8 +11,8 @@ use crn_sim::interference::Interference;
 use crn_sim::medium::{decay_episode, epoch_len, recommended_rounds};
 use crn_sim::rng::{derive_rng, streams, SimRng};
 use crn_sim::{
-    Action, ChannelModel, Event, FaultSchedule, Flaky, GlobalChannel, LocalChannel, Network,
-    NodeCtx, NodeId, PhysicalDecay, Protocol, SlotActivity,
+    Action, ChannelModel, Event, FaultSchedule, Flaky, GlobalChannel, Jammed, LocalChannel, Medium,
+    Network, NodeCtx, NodeId, OracleSingleHop, PhysicalDecay, Protocol, SlotActivity,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -43,8 +43,8 @@ fn hoppers(n: usize) -> Vec<Hopper> {
     (0..n).map(|i| Hopper { informed: i == 0 }).collect()
 }
 
-fn assert_clean_run<CM: crn_sim::ChannelModel>(
-    net: &mut Network<u8, impl Protocol<u8>, CM>,
+fn assert_clean_run<CM: ChannelModel, Med: Medium<u8>>(
+    net: &mut Network<u8, impl Protocol<u8>, CM, Med>,
     seed: u64,
     slots: u64,
     label: &str,
@@ -66,17 +66,17 @@ fn assert_clean_run<CM: crn_sim::ChannelModel>(
 fn clean_runs_are_conformant_across_models() {
     // Static local labels.
     let model = StaticChannels::local(shared_core(12, 5, 2).unwrap(), 7);
-    let mut net = Network::new(model, hoppers(12), 7).unwrap();
+    let mut net = Network::with_medium(model, hoppers(12), 7, OracleSingleHop::new()).unwrap();
     assert_clean_run(&mut net, 7, 300, "static local");
 
     // Static global labels.
     let model = StaticChannels::global(full_overlap(8, 4).unwrap());
-    let mut net = Network::new(model, hoppers(8), 8).unwrap();
+    let mut net = Network::with_medium(model, hoppers(8), 8, OracleSingleHop::new()).unwrap();
     assert_clean_run(&mut net, 8, 300, "static global");
 
     // Churned assignment: sets change under the protocol's feet.
     let model = DynamicSharedCore::new(10, 5, 2, 25, 0.6, 9).unwrap();
-    let mut net = Network::new(model, hoppers(10), 9).unwrap();
+    let mut net = Network::with_medium(model, hoppers(10), 9, OracleSingleHop::new()).unwrap();
     assert_clean_run(&mut net, 9, 300, "dynamic churned");
 }
 
@@ -92,7 +92,7 @@ fn faulty_runs_are_conformant() {
             .into_iter()
             .map(|p| Flaky::new(p, schedule.clone()))
             .collect();
-        let mut net = Network::new(model, protos, 3).unwrap();
+        let mut net = Network::with_medium(model, protos, 3, OracleSingleHop::new()).unwrap();
         assert_clean_run(&mut net, 3, 200, "faulty");
     }
 }
@@ -128,14 +128,21 @@ fn jammed_runs_are_conformant_including_budget_clauses() {
         budget: 2,
         slot: 0,
     };
-    let mut net = Network::with_interference(model, hoppers(10), 5, Box::new(jammer)).unwrap();
+    let mut net = Network::with_medium(
+        model,
+        hoppers(10),
+        5,
+        Jammed::new(OracleSingleHop::new(), Box::new(jammer)),
+    )
+    .unwrap();
     assert_clean_run(&mut net, 5, 300, "jammed");
 }
 
 #[test]
 fn validator_catches_a_corrupted_winner_from_a_real_run() {
     let model = StaticChannels::global(full_overlap(6, 2).unwrap());
-    let mut net = Network::new(model.clone(), hoppers(6), 13).unwrap();
+    let mut net =
+        Network::with_medium(model.clone(), hoppers(6), 13, OracleSingleHop::new()).unwrap();
     // Find a slot with a contended channel that also has a listener.
     let corrupted = loop {
         let act = net.step().clone();
@@ -165,7 +172,8 @@ fn validator_catches_a_corrupted_winner_from_a_real_run() {
 #[test]
 fn validator_catches_an_out_of_set_participant_from_a_real_run() {
     let model = StaticChannels::global(shared_core(6, 3, 1).unwrap());
-    let mut net = Network::new(model.clone(), hoppers(6), 17).unwrap();
+    let mut net =
+        Network::with_medium(model.clone(), hoppers(6), 17, OracleSingleHop::new()).unwrap();
     let mut act = net.step().clone();
     while act.channels.is_empty() {
         act = net.step().clone();
@@ -256,7 +264,7 @@ proptest! {
                 .map(|(i, s)| Scripted { id: i as u32, script: s.clone(), events: Vec::new() })
                 .collect()
         };
-        let mut net = Network::new(model(), protos(), seed).unwrap();
+        let mut net = Network::with_medium(model(), protos(), seed, OracleSingleHop::new()).unwrap();
         let mut trace = Vec::new();
         for _ in 0..slots {
             trace.push(net.step().clone());
@@ -265,7 +273,7 @@ proptest! {
         }
         prop_assert_eq!(replay_winners(seed, &trace), vec![]);
 
-        let mut unrecorded = Network::new(model(), protos(), seed).unwrap();
+        let mut unrecorded = Network::with_medium(model(), protos(), seed, OracleSingleHop::new()).unwrap();
         unrecorded.run_slots(slots as u64);
         let events = |p: &[Scripted]| p.iter().map(|p| p.events.clone()).collect::<Vec<_>>();
         prop_assert_eq!(events(unrecorded.protocols()), events(net.protocols()));
@@ -316,7 +324,8 @@ proptest! {
 #[test]
 fn record_free_slots_are_reported_unrecorded() {
     let model = StaticChannels::local(shared_core(8, 4, 2).expect("valid shape"), 3);
-    let mut net = Network::new(model, hoppers(8), 3).expect("construct");
+    let mut net =
+        Network::with_medium(model, hoppers(8), 3, OracleSingleHop::new()).expect("construct");
     let unrecorded = |net: &Network<u8, Hopper, StaticChannels>, slot: u64| {
         assert!(net.last_activity().is_none(), "slot {slot} has no record");
         let violations = net.check_conformance();
@@ -353,7 +362,7 @@ fn record_free_slots_are_reported_unrecorded() {
 #[test]
 #[should_panic(expected = "model-conformance violation")]
 fn validate_checks_record_free_slots_too() {
-    use crn_sim::{ChannelActivity, Medium, MediumProfile, SlotInputs};
+    use crn_sim::{ChannelActivity, MediumProfile, SlotInputs};
 
     struct WinnerFromNowhere;
 

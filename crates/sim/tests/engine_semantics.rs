@@ -15,7 +15,10 @@
 use crn_sim::assignment::full_overlap;
 use crn_sim::channel_model::StaticChannels;
 use crn_sim::rng::SimRng;
-use crn_sim::{Action, Event, LocalChannel, Network, NodeCtx, NodeId, Protocol, SlotActivity};
+use crn_sim::{
+    Action, Event, Jammed, LocalChannel, Network, NodeCtx, NodeId, OracleSingleHop, Protocol,
+    SlotActivity,
+};
 use proptest::prelude::*;
 
 /// A scripted action: what one node does in one slot.
@@ -108,7 +111,13 @@ fn jammed_broadcaster_never_delivers_and_never_wins() {
         },
     ];
     let model = StaticChannels::global(full_overlap(3, 1).unwrap());
-    let mut net = Network::with_interference(model, protos, 5, Box::new(JamSource)).unwrap();
+    let mut net = Network::with_medium(
+        model,
+        protos,
+        5,
+        Jammed::new(OracleSingleHop::new(), Box::new(JamSource)),
+    )
+    .unwrap();
     for _ in 0..slots {
         let activity = net.step();
         assert_eq!(activity.jammed, 1);
@@ -180,7 +189,7 @@ fn local_labels_never_expose_global_channel_ids() {
                 saw_channels: Vec::new(),
             })
             .collect();
-        let mut net = Network::new(model, protos, 17).unwrap();
+        let mut net = Network::with_medium(model, protos, 17, OracleSingleHop::new()).unwrap();
         for _ in 0..50 {
             net.step();
         }
@@ -207,7 +216,7 @@ proptest! {
             .enumerate()
             .map(|(i, s)| Scripted { id: i as u32, script: s.clone(), events: Vec::new() })
             .collect();
-        let mut net = Network::new(model, protos, 99).unwrap();
+        let mut net = Network::with_medium(model, protos, 99, OracleSingleHop::new()).unwrap();
         let mut activities: Vec<SlotActivity> = Vec::new();
         for _ in 0..slots {
             activities.push(net.step().clone());

@@ -15,7 +15,7 @@ use crn::core::cogcast::CogCast;
 use crn::sim::assignment::shared_core;
 use crn::sim::channel_model::StaticChannels;
 use crn::sim::faults::{FaultSchedule, Flaky};
-use crn::sim::Network;
+use crn::sim::{Network, OracleSingleHop};
 use crn::stats::Summary;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut protos: Vec<Flaky<CogCast<&str>>> = Vec::with_capacity(n);
             protos.push(Flaky::new(CogCast::source("fw-update"), schedule_for(0)));
             protos.extend((1..n).map(|i| Flaky::new(CogCast::node(), schedule_for(i))));
-            let mut net = Network::new(model, protos, seed).unwrap();
+            let mut net =
+                Network::with_medium(model, protos, seed, OracleSingleHop::new()).unwrap();
             let mut done = None;
             for s in 0..1_000_000u64 {
                 net.step();

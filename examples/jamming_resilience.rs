@@ -10,7 +10,7 @@ use crn::core::cogcast::{run_broadcast, CogCast};
 use crn::jamming::{run_jammed_broadcast, JammerStrategy, SilencerJammer};
 use crn::sim::assignment::full_overlap;
 use crn::sim::channel_model::{DynamicSharedCore, StaticChannels};
-use crn::sim::Network;
+use crn::sim::{Jammed, Network, OracleSingleHop};
 use crn::stats::Summary;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -69,7 +69,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = StaticChannels::local(full_overlap(n, c)?, 7);
     let mut protos = vec![CogCast::source(())];
     protos.extend((1..n).map(|_| CogCast::node()));
-    let mut net = Network::with_interference(model, protos, 7, Box::new(SilencerJammer::new(1)))?;
+    let mut net = Network::with_medium(
+        model,
+        protos,
+        7,
+        Jammed::new(OracleSingleHop::new(), Box::new(SilencerJammer::new(1))),
+    )?;
     net.run_slots(20_000);
     let informed = net.protocols().iter().filter(|p| p.is_informed()).count();
     println!("adaptive jammer (budget 1): {informed}/{n} informed after 20,000 slots");

@@ -10,7 +10,7 @@ use crn::core::cogcast::CogCast;
 use crn::core::tree::DistributionTree;
 use crn::sim::assignment::shared_core;
 use crn::sim::channel_model::StaticChannels;
-use crn::sim::Network;
+use crn::sim::{Network, OracleSingleHop};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A network of 40 nodes; each holds 8 channels out of a crowded
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = StaticChannels::local(assignment, seed);
     let mut protocols = vec![CogCast::source("channel-map-v2")];
     protocols.extend((1..n).map(|_| CogCast::node()));
-    let mut net = Network::new(model, protocols, seed)?;
+    let mut net = Network::with_medium(model, protocols, seed, OracleSingleHop::new())?;
 
     // Theorem 4 sizes the budget: O((c/k)·max{1, c/n}·lg n) slots.
     let budget = bounds::cogcast_slots(n, c, k, bounds::DEFAULT_ALPHA);

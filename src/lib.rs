@@ -5,19 +5,18 @@
 //! 2015): the COGCAST local-broadcast and COGCOMP data-aggregation
 //! protocols, the single-hop cognitive radio network model they run on,
 //! the rendezvous baselines they are measured against, the bipartite
-//! hitting games behind the paper's lower bounds, the backoff substrate
-//! that realizes the abstract collision model, and the jamming
-//! reduction of Theorem 18.
+//! hitting games behind the paper's lower bounds, the decay-backoff
+//! substrate that realizes the abstract collision model (in
+//! [`sim::medium`]), and the jamming reduction of Theorem 18.
 //!
 //! This facade re-exports every sub-crate under a stable path:
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`sim`] | `crn-sim` | the network model and slot engine |
+//! | [`sim`] | `crn-sim` | the network model, slot engine and media (decay backoff included) |
 //! | [`core`] | `crn-core` | COGCAST, COGCOMP, trees, bounds |
 //! | [`rendezvous`] | `crn-rendezvous` | baseline protocols |
 //! | [`lowerbounds`] | `crn-lowerbounds` | hitting games & reductions |
-//! | [`backoff`] | `crn-backoff` | decay contention resolution |
 //! | [`jamming`] | `crn-jamming` | n-uniform jammers, Theorem 18 |
 //! | [`stats`] | `crn-stats` | summaries, fits, tables |
 //!
@@ -40,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub use crn_backoff as backoff;
 pub use crn_core as core;
 pub use crn_jamming as jamming;
 pub use crn_lowerbounds as lowerbounds;

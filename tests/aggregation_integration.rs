@@ -7,7 +7,7 @@ use crn::core::cogcomp::{run_aggregation, run_aggregation_default, CogComp, CogC
 use crn::rendezvous::aggregate::run_baseline_aggregation;
 use crn::sim::assignment::{full_overlap, shared_core, OverlapPattern};
 use crn::sim::channel_model::StaticChannels;
-use crn::sim::Network;
+use crn::sim::{Network, OracleSingleHop};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -99,7 +99,7 @@ fn mediator_and_cluster_invariants_hold() {
     let model = StaticChannels::local(shared_core(n, c, k).unwrap(), 4);
     let mut protos = vec![CogComp::source(cfg, Count(1))];
     protos.extend((1..n).map(|_| CogComp::node(cfg, Count(1))));
-    let mut net = Network::new(model, protos, 4).unwrap();
+    let mut net = Network::with_medium(model, protos, 4, OracleSingleHop::new()).unwrap();
     assert!(net.run_to_completion(cfg.recommended_budget()).is_done());
     let protos = net.into_protocols();
 

@@ -7,7 +7,7 @@ use crn::core::tree::DistributionTree;
 use crn::rendezvous::broadcast::run_baseline_broadcast;
 use crn::sim::assignment::{shared_core, OverlapPattern};
 use crn::sim::channel_model::StaticChannels;
-use crn::sim::Network;
+use crn::sim::{Network, OracleSingleHop};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,7 +50,7 @@ fn distribution_tree_is_valid_spanning_tree() {
         let model = StaticChannels::local(shared_core(n, c, k).unwrap(), seed);
         let mut protos = vec![CogCast::source(1u8)];
         protos.extend((1..n).map(|_| CogCast::node()));
-        let mut net = Network::new(model, protos, seed).unwrap();
+        let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new()).unwrap();
         assert!(net.run(1_000_000, |net| net.all_done()).is_done());
         let protos = net.into_protocols();
         let tree = DistributionTree::from_cogcast(&protos).unwrap();

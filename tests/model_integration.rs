@@ -2,12 +2,12 @@
 //! abstract collision slot, jamming through the engine, dynamic
 //! assignments, and whole-stack determinism.
 
-use crn::backoff::decay::{recommended_rounds, resolve_contention};
 use crn::core::aggregate::Sum;
 use crn::core::cogcast::run_broadcast;
 use crn::core::cogcomp::run_aggregation_default;
 use crn::jamming::{jammed_budget, run_jammed_broadcast, JammerStrategy};
 use crn::sim::channel_model::DynamicSharedCore;
+use crn::sim::medium::{recommended_rounds, resolve_contention};
 use crn::sim::SimRng;
 use rand::SeedableRng;
 

@@ -10,7 +10,7 @@ use crn::sim::assignment::shared_core;
 use crn::sim::channel_model::StaticChannels;
 use crn::sim::faults::{FaultSchedule, Flaky};
 use crn::sim::sensing::{sense_assignment, SpectrumConfig};
-use crn::sim::{Network, PhysicalDecay};
+use crn::sim::{Network, OracleSingleHop, PhysicalDecay};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -181,7 +181,7 @@ fn flaky_cogcomp_aggregates_exactly_despite_listener_downtime() {
                 },
             )
         }));
-        let mut net = Network::new(model, protos, seed).unwrap();
+        let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new()).unwrap();
         let outcome = net.run_to_completion(cfg.recommended_budget());
         assert!(outcome.is_done(), "seed {seed}");
         let protos = net.into_protocols();
@@ -210,7 +210,7 @@ fn flaky_broadcast_with_heavy_asymmetric_faults() {
             };
             Flaky::new(CogCast::node(), schedule)
         }));
-        let mut net = Network::new(model, protos, seed).unwrap();
+        let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new()).unwrap();
         let outcome = net.run(1_000_000, |net| {
             net.protocols().iter().all(|f| f.inner().is_informed())
         });
