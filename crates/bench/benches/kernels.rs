@@ -7,7 +7,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use crn_bench::effort::par_trials;
+use crn_core::aggregate::Sum;
+use crn_core::bounds;
 use crn_core::cogcast::CogCast;
+use crn_core::cogcomp::{CogComp, CogCompConfig};
 use crn_rendezvous::JumpStay;
 use crn_sim::assignment::{random_with_core, shared_core};
 use crn_sim::channel_model::StaticChannels;
@@ -36,6 +39,9 @@ const LARGE_N: [usize; 2] = [4096, 16384];
 
 /// The network sizes of the `kernels` floor series.
 const FLOOR_N: [usize; 3] = [2, 48, 1024];
+
+/// The network sizes of the `kernels` COGCOMP rows.
+const COGCOMP_N: [usize; 2] = [48, 1024];
 
 /// A floor protocol of the `kernels` series: its `decide` is all it
 /// does, so a slot costs only the engine and the medium.
@@ -84,31 +90,127 @@ fn jump_stay_net() -> Network<u8, JumpStay, StaticChannels> {
     Network::with_medium(model, protos, 1, OracleSingleHop::new()).unwrap()
 }
 
-/// Best-of-3 wall-clock ns per `step_unrecorded()` slot, the way the
-/// protocol runners step, after a warm-up past the scratch-buffer fill.
+/// Repetitions behind every `kernels` row; a row reports their median
+/// and their min–max.
+const REPS: usize = 5;
+
+/// Thread CPU time each repetition runs for at least. The schedstat
+/// counter advances in scheduler ticks (4 ms on a 250 Hz kernel), so a
+/// quarter second keeps its rounding under 2%.
+const MIN_REP_CPU_NS: u64 = 250_000_000;
+
+/// CPU time this thread has run, in ns: the first field of
+/// `/proc/thread-self/schedstat` (Linux). Unlike wall-clock time it
+/// does not count the time other processes hold the core.
+fn thread_cpu_ns() -> u64 {
+    std::fs::read_to_string("/proc/thread-self/schedstat")
+        .ok()
+        .and_then(|stat| stat.split_whitespace().next()?.parse().ok())
+        .expect("the kernels floors read /proc/thread-self/schedstat (Linux only)")
+}
+
+/// A `kernels` row's cost: thread-CPU ns per slot over [`REPS`]
+/// repetitions.
+#[derive(Debug, Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Spread {
+        samples.sort_by(f64::total_cmp);
+        Spread {
+            median: samples[samples.len() / 2],
+            min: samples[0],
+            max: samples[samples.len() - 1],
+        }
+    }
+}
+
+/// Thread-CPU ns per `step_unrecorded()` slot, the way the protocol
+/// runners step, after a warm-up past the scratch-buffer fill. Each
+/// repetition steps for at least [`MIN_REP_CPU_NS`], reading the clock
+/// (a file read) only every `2^16 / n` slots, so the reads stay a small
+/// share of the time.
 fn unrecorded_ns_per_slot<P: Protocol<u8>, CM: ChannelModel>(
     net: &mut Network<u8, P, CM>,
     n: usize,
-) -> f64 {
-    let slots = (2_000_000 / n).max(2000) as u64;
-    for _ in 0..slots / 4 {
+) -> Spread {
+    let chunk = ((1 << 16) / n).max(1);
+    for _ in 0..chunk.max(2000) {
         net.step_unrecorded();
     }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..slots {
-            net.step_unrecorded();
+    let samples = (0..REPS)
+        .map(|_| {
+            let (t0, mut slots) = (thread_cpu_ns(), 0);
+            let mut elapsed = 0;
+            while elapsed < MIN_REP_CPU_NS {
+                for _ in 0..chunk {
+                    net.step_unrecorded();
+                }
+                slots += chunk;
+                elapsed = thread_cpu_ns() - t0;
+            }
+            elapsed as f64 / slots as f64
+        })
+        .collect();
+    Spread::of(samples)
+}
+
+/// COGCOMP `Sum` on `shared_core(n, 8, 2)` with local labels and the
+/// default phase-one constant, as `run_aggregation` builds it: the
+/// overall thread-CPU ns per slot, and the same per COGCOMP phase
+/// (one to four). Each repetition runs whole executions (network
+/// construction untimed) until every phase has stepped for at least
+/// [`MIN_REP_CPU_NS`]: a phase of one execution can be shorter than a
+/// scheduler tick.
+fn cogcomp_ns_per_slot(n: usize) -> (Spread, [Spread; 4]) {
+    let cfg = CogCompConfig::new(n, 8, 2, bounds::DEFAULT_ALPHA);
+    let phase_ends = [
+        cfg.phase2_start(),
+        cfg.phase3_start(),
+        cfg.phase4_start(),
+        u64::MAX,
+    ];
+    let (mut overall, mut phases) = (Vec::new(), vec![Vec::new(); 4]);
+    let mut seed = 0;
+    for _ in 0..REPS {
+        let (mut ns, mut slots) = ([0u64; 4], [0u64; 4]);
+        while ns.iter().any(|&phase_ns| phase_ns < MIN_REP_CPU_NS) {
+            seed += 1;
+            let model = StaticChannels::local(shared_core(n, 8, 2).unwrap(), seed);
+            let mut protos = vec![CogComp::source(cfg, Sum(0))];
+            protos.extend((1..n).map(|i| CogComp::node(cfg, Sum(i as u64))));
+            let mut net =
+                Network::with_medium(model, protos, seed, OracleSingleHop::new()).unwrap();
+            let budget = cfg.recommended_budget();
+            for (phase, &end) in phase_ends.iter().enumerate() {
+                let (t0, s0) = (thread_cpu_ns(), net.slot());
+                while net.slot() < end.min(budget) && !net.all_done() {
+                    net.step_unrecorded();
+                }
+                ns[phase] += thread_cpu_ns() - t0;
+                slots[phase] += net.slot() - s0;
+            }
+            let expected = Sum((0..n as u64).sum());
+            assert_eq!(net.protocols()[0].result(), Some(&expected), "seed {seed}");
         }
-        best = best.min(t0.elapsed().as_nanos() as f64 / slots as f64);
+        let per_slot = |ns: u64, slots: u64| ns as f64 / slots as f64;
+        overall.push(per_slot(ns.iter().sum(), slots.iter().sum()));
+        for (phase, samples) in phases.iter_mut().enumerate() {
+            samples.push(per_slot(ns[phase], slots[phase]));
+        }
     }
-    best
+    let phases: Vec<Spread> = phases.into_iter().map(Spread::of).collect();
+    (Spread::of(overall), phases.try_into().expect("four phases"))
 }
 
 /// The engine's floor cost: `(shape, n, ns/slot)` for the T6 jump-stay
 /// pair and for each of [`FLOORS`] on `shared_core(n, 8, 2)` with local
 /// labels at every [`FLOOR_N`].
-fn measure_floors() -> Vec<(&'static str, usize, f64)> {
+fn measure_floors() -> Vec<(&'static str, usize, Spread)> {
     let jump_stay = unrecorded_ns_per_slot(&mut jump_stay_net(), 2);
     let mut rows = vec![("jump-stay", 2, jump_stay)];
     for (name, floor) in FLOORS {
@@ -200,8 +302,9 @@ fn measure_physical_ns_per_slot(n: usize, c: usize) -> (f64, f64) {
 }
 
 /// Engine slot throughput: measures the [`ENGINE_GRID`] sweep (oracle
-/// and physical media), the large oracle points and the floors with
-/// plain wall-clock timing, and records them to `BENCH_engine.json` at
+/// and physical media) and the large oracle points with plain
+/// wall-clock timing, the `kernels` floors and COGCOMP rows in thread
+/// CPU time, and records them to `BENCH_engine.json` at
 /// the repository root — the tracked baseline EXPERIMENTS.md and the
 /// README's Performance section reference. Also measures aggregate
 /// throughput with independent trial networks spread across cores via
@@ -224,15 +327,25 @@ fn write_engine_baseline(_: &mut Criterion) {
         ));
     }
 
-    let floor_rows: Vec<String> = measure_floors()
+    let spread_fields = |n: usize, ns: Spread| {
+        let per_node = ns.median / n as f64;
+        format!(
+            "\"n\": {n}, \"ns_per_slot\": {:.1}, \"ns_per_slot_min\": {:.1}, \"ns_per_slot_max\": {:.1}, \"ns_per_node_slot\": {per_node:.1}",
+            ns.median, ns.min, ns.max
+        )
+    };
+    let mut floor_rows: Vec<String> = measure_floors()
         .into_iter()
-        .map(|(shape, n, ns)| {
-            let per_node = ns / n as f64;
-            format!(
-                "    {{\"shape\": \"{shape}\", \"n\": {n}, \"ns_per_slot\": {ns:.1}, \"ns_per_node_slot\": {per_node:.1}}}"
-            )
-        })
+        .map(|(shape, n, ns)| format!("    {{\"shape\": \"{shape}\", {}}}", spread_fields(n, ns)))
         .collect();
+    for n in COGCOMP_N {
+        let (ns, phases) = cogcomp_ns_per_slot(n);
+        let phases = phases.map(|p| format!("{:.1}", p.median)).join(", ");
+        floor_rows.push(format!(
+            "    {{\"shape\": \"cogcomp-sum\", {}, \"phase_ns_per_slot\": [{phases}]}}",
+            spread_fields(n, ns)
+        ));
+    }
 
     // Aggregate: 32 independent n=256 trial networks across all cores,
     // the shape of a `par_trials` experiment sweep.
@@ -247,10 +360,12 @@ fn write_engine_baseline(_: &mut Criterion) {
     });
     let aggregate = (trials as u64 * per_trial_slots) as f64 / t0.elapsed().as_secs_f64();
 
+    let min_rep_s = MIN_REP_CPU_NS as f64 / 1e9;
+    let alpha = bounds::DEFAULT_ALPHA;
     let host_cores = crn_sim::pool::default_workers();
     let revision = crn_bench::revision();
     let json = format!(
-        "{{\n  \"bench\": \"slot_engine\",\n  \"workload\": \"COGCAST broadcast, shared_core(n, c, 2), local labels\",\n  \"engine\": \"scratch-buffered, allocation-free steady state, record-free oracle resolution (order-free winner draws: lone broadcasters skipped, only contended channels ranked), every trial stepped on one thread\",\n  \"grid_note\": \"ns_per_slot steps with step() (channel records built); record_free_ns_per_slot with step_unrecorded(), as the protocol runners step\",\n  \"host_cores\": {host_cores},\n  \"revision\": \"{revision}\",\n  \"grid\": [\n{}\n  ],\n  \"physical_slot\": [\n{}\n  ],\n  \"kernels_note\": \"engine floor, step_unrecorded() on one thread: T6's 2-node jump-stay pair, and asleep / listen-on-channel-0 / random broadcast-or-listen nodes on shared_core(n, 8, 2)\",\n  \"kernels\": [\n{}\n  ],\n  \"par_trials\": {{\"trials\": {trials}, \"slots_per_trial\": {per_trial_slots}, \"aggregate_slots_per_sec\": {aggregate:.0}}}\n}}\n",
+        "{{\n  \"bench\": \"slot_engine\",\n  \"workload\": \"COGCAST broadcast, shared_core(n, c, 2), local labels\",\n  \"engine\": \"scratch-buffered, allocation-free steady state, record-free oracle resolution (order-free winner draws: lone broadcasters skipped, only contended channels ranked), every trial stepped on one thread\",\n  \"grid_note\": \"ns_per_slot steps with step() (channel records built); record_free_ns_per_slot with step_unrecorded(), as the protocol runners step\",\n  \"host_cores\": {host_cores},\n  \"revision\": \"{revision}\",\n  \"grid\": [\n{}\n  ],\n  \"physical_slot\": [\n{}\n  ],\n  \"kernels_note\": \"step_unrecorded() on one thread, thread CPU time from /proc/thread-self/schedstat: median of {REPS} repetitions of at least {min_rep_s} s each (for cogcomp-sum, each phase), with their min and max. Engine floors: T6's 2-node jump-stay pair, and asleep / listen-on-channel-0 / random broadcast-or-listen nodes on shared_core(n, 8, 2). cogcomp-sum: whole COGCOMP Sum executions on shared_core(n, 8, 2), local labels, alpha = {alpha}; phase_ns_per_slot is the median per phase, one to four\",\n  \"kernels\": [\n{}\n  ],\n  \"par_trials\": {{\"trials\": {trials}, \"slots_per_trial\": {per_trial_slots}, \"aggregate_slots_per_sec\": {aggregate:.0}}}\n}}\n",
         rows.join(",\n"),
         physical_rows.join(",\n"),
         floor_rows.join(",\n"),

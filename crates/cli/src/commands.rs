@@ -398,11 +398,6 @@ pub fn jam(opts: &Opts) -> Result<String, String> {
     opts.expect_keys("jam", &["n", "c", "k", "seed", "trials", "strategy"])?;
     let (n, c, k, seed) = shape(opts)?;
     let trials = trials(opts, 10)?;
-    if 2 * k >= c {
-        return Err(format!(
-            "the Theorem 18 regime needs k < c/2 (k = {k}, c = {c})"
-        ));
-    }
     let strategy_name = opts.get_str("strategy", "random");
     let strategy = JammerStrategy::ALL
         .into_iter()
@@ -696,7 +691,8 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("effective overlap"));
-        assert!(jam(&opts(&["--c", "8", "--k", "4"])).is_err());
+        let err = jam(&opts(&["--c", "8", "--k", "4"])).unwrap_err();
+        assert!(err.contains("Theorem 18 needs k < c/2"), "{err}");
     }
 
     #[test]

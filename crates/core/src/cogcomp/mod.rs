@@ -759,26 +759,49 @@ mod tests {
 
     #[test]
     fn cluster_sizes_sum_to_n_minus_one() {
+        use crn_sim::GlobalChannel;
+        use std::collections::BTreeMap;
         let n = 24;
-        let cfg = CogCompConfig::new(n, 5, 2, bounds::DEFAULT_ALPHA);
-        let model = StaticChannels::local(shared_core(n, 5, 2).unwrap(), 13);
-        let mut protos = vec![CogComp::source(cfg, Sum(0))];
-        protos.extend((1..n).map(|i| CogComp::node(cfg, Sum(i as u64))));
-        let mut net = Network::with_medium(model, protos, 13, OracleSingleHop::new()).unwrap();
-        let outcome = net.run_to_completion(cfg.recommended_budget());
-        assert!(outcome.is_done());
-        let protos = net.into_protocols();
-        // Every node's informer-cluster sizes, summed over all nodes,
-        // must cover each non-source node exactly once.
-        let total: u32 = protos
-            .iter()
-            .map(|p| (0..p.informer_cluster_count()).count() as u32)
-            .sum::<u32>();
-        assert!(total >= 1);
-        // Each non-source node belongs to exactly one cluster, whose
-        // size the node knows:
-        let sum_by_membership: u32 = protos.iter().filter(|p| !p.is_source()).map(|_| 1u32).sum();
-        assert_eq!(sum_by_membership, n as u32 - 1);
+        for seed in [13, 14] {
+            let cfg = CogCompConfig::new(n, 5, 2, bounds::DEFAULT_ALPHA);
+            let model = StaticChannels::local(shared_core(n, 5, 2).unwrap(), seed);
+            let mut protos = vec![CogComp::source(cfg, Sum(0))];
+            protos.extend((1..n).map(|i| CogComp::node(cfg, Sum(i as u64))));
+            let mut net =
+                Network::with_medium(model, protos, seed, OracleSingleHop::new()).unwrap();
+            assert!(net.run_to_completion(cfg.recommended_budget()).is_done());
+            // Each informed node's cluster: the nodes first informed in
+            // the same slot on the same global channel.
+            let mut clusters: BTreeMap<(GlobalChannel, u64), Vec<usize>> = BTreeMap::new();
+            for (i, p) in net.protocols().iter().enumerate() {
+                if let Some(info) = p.informed() {
+                    let global = net.model().channels(i)[info.channel.index()];
+                    clusters.entry((global, info.slot)).or_default().push(i);
+                }
+            }
+            assert_eq!(clusters.values().map(Vec::len).sum::<usize>(), n - 1);
+            let mut mediators = BTreeMap::new();
+            for (&(global, _), members) in &clusters {
+                for &i in members {
+                    assert_eq!(
+                        net.protocols()[i].cluster_size() as usize,
+                        members.len(),
+                        "seed {seed}: node {i}'s cluster size"
+                    );
+                }
+                // Ascending slots: the last cluster on a channel wins.
+                mediators.insert(global, members[0]);
+            }
+            let expected: Vec<usize> = {
+                let mut ids: Vec<usize> = mediators.into_values().collect();
+                ids.sort_unstable();
+                ids
+            };
+            let elected: Vec<usize> = (0..n)
+                .filter(|&i| net.protocols()[i].is_mediator())
+                .collect();
+            assert_eq!(elected, expected, "seed {seed}: mediators");
+        }
     }
 
     #[test]

@@ -59,6 +59,30 @@ struct ClusterRef {
     size: u32,
 }
 
+/// What phase two heard of one cluster: its size so far and its
+/// smallest member id.
+#[derive(Debug, Clone, Copy)]
+struct Census {
+    count: u32,
+    min_id: NodeId,
+}
+
+impl Census {
+    /// Adds one heard beacon (`id`) to the cluster's census.
+    fn add(census: &mut BTreeMap<u64, Census>, r: u64, id: NodeId) {
+        census
+            .entry(r)
+            .and_modify(|c| {
+                c.count += 1;
+                c.min_id = c.min_id.min(id);
+            })
+            .or_insert(Census {
+                count: 1,
+                min_id: id,
+            });
+    }
+}
+
 /// Mediator bookkeeping for one channel.
 #[derive(Debug, Clone)]
 struct MediatorState {
@@ -104,8 +128,12 @@ pub struct CogComp<V> {
     // --- phase two ---
     phase2_ready: bool,
     census_sent: bool,
-    /// All censuses heard on this node's informing channel: `r` → ids.
-    channel_census: BTreeMap<u64, BTreeSet<NodeId>>,
+    /// The censuses heard on this node's informing channel (its own
+    /// included), per informed slot `r`: how many, and the smallest id.
+    /// Counting needs no dedup: a node beacons until it observes
+    /// `Delivered`, and every shipped medium tells a heard winner
+    /// `Delivered`, so each beacon is heard at most once.
+    channel_census: BTreeMap<u64, Census>,
     // --- phase three ---
     phase3_ready: bool,
     cluster_size: u32,
@@ -114,6 +142,10 @@ pub struct CogComp<V> {
     informer_clusters: Vec<ClusterRef>,
     // --- phase four ---
     phase4_ready: bool,
+    /// The first phase-four step of the next round, or `u64::MAX` once
+    /// the last round has begun, so a slot tests one comparison rather
+    /// than dividing by [`CogCompConfig::round_steps`].
+    next_round_step: u64,
     step_role: StepRole,
     collect_idx: usize,
     collected: BTreeSet<NodeId>,
@@ -154,6 +186,7 @@ impl<V: Aggregate> CogComp<V> {
             rewind_slot: None,
             informer_clusters: Vec::new(),
             phase4_ready: false,
+            next_round_step: Self::round_start(&cfg, 1),
             step_role: StepRole::Idle,
             collect_idx: 0,
             collected: BTreeSet::new(),
@@ -265,6 +298,7 @@ impl<V: Aggregate> CogComp<V> {
     // Phase one: COGCAST with recording.
     // ------------------------------------------------------------------
 
+    #[inline]
     fn decide_phase1(&mut self, ctx: &NodeCtx<'_>, rng: &mut SimRng) -> Action<CogCompMsg<V>> {
         // Keep the record slot-aligned across missed slots (fault
         // windows suppress decide; the rewind indexes by absolute
@@ -281,6 +315,7 @@ impl<V: Aggregate> CogComp<V> {
         }
     }
 
+    #[inline]
     fn observe_phase1(&mut self, ctx: &NodeCtx<'_>, event: Event<CogCompMsg<V>>) {
         let ch = self.pending_channel;
         let record = match event {
@@ -327,16 +362,14 @@ impl<V: Aggregate> CogComp<V> {
     // Phase two: cluster census and mediator election.
     // ------------------------------------------------------------------
 
+    #[inline]
     fn decide_phase2(&mut self, ctx: &NodeCtx<'_>) -> Action<CogCompMsg<V>> {
         if !self.phase2_ready {
             self.phase2_ready = true;
             if let Some(info) = self.informed {
                 // Count ourselves (the paper's "counter initially set to
                 // one").
-                self.channel_census
-                    .entry(info.slot)
-                    .or_default()
-                    .insert(ctx.id);
+                Census::add(&mut self.channel_census, info.slot, ctx.id);
             }
         }
         let Some(info) = self.informed else {
@@ -356,6 +389,7 @@ impl<V: Aggregate> CogComp<V> {
         }
     }
 
+    #[inline]
     fn observe_phase2(&mut self, event: Event<CogCompMsg<V>>) {
         match event {
             Event::Delivered => self.census_sent = true,
@@ -367,7 +401,7 @@ impl<V: Aggregate> CogComp<V> {
                 msg: CogCompMsg::Census { id, r },
                 ..
             } => {
-                self.channel_census.entry(r).or_default().insert(id);
+                Census::add(&mut self.channel_census, r, id);
             }
             _ => {}
         }
@@ -390,21 +424,20 @@ impl<V: Aggregate> CogComp<V> {
         self.cluster_size = self
             .channel_census
             .get(&info.slot)
-            .map(|s| s.len() as u32)
-            .unwrap_or(1);
+            .map_or(1, |census| census.count);
         if self.cfg.coordination == super::Coordination::Uncoordinated {
             // Ablation: no mediators are elected; phase four runs with
             // free contention among ready senders.
             return;
         }
         // Mediator: smallest id in the latest cluster on the channel.
-        if let Some((_, members)) = self.channel_census.iter().next_back() {
-            if members.iter().next() == Some(&ctx.id) {
+        if let Some((_, latest)) = self.channel_census.iter().next_back() {
+            if latest.min_id == ctx.id {
                 let clusters = self
                     .channel_census
                     .iter()
                     .rev()
-                    .map(|(&r, m)| (r, m.len() as u32))
+                    .map(|(&r, census)| (r, census.count))
                     .collect();
                 self.mediator = Some(MediatorState {
                     channel: info.channel,
@@ -416,6 +449,7 @@ impl<V: Aggregate> CogComp<V> {
         }
     }
 
+    #[inline]
     fn decide_phase3(&mut self, ctx: &NodeCtx<'_>, offset: u64) -> Action<CogCompMsg<V>> {
         if !self.phase3_ready {
             self.prepare_phase3(ctx);
@@ -445,6 +479,7 @@ impl<V: Aggregate> CogComp<V> {
         }
     }
 
+    #[inline]
     fn observe_phase3(&mut self, event: Event<CogCompMsg<V>>) {
         if let Event::Received {
             msg: CogCompMsg::ClusterSize { r, size },
@@ -512,6 +547,16 @@ impl<V: Aggregate> CogComp<V> {
         }
     }
 
+    /// The first phase-four step of round `round`, or `u64::MAX` past
+    /// the last round.
+    fn round_start(cfg: &CogCompConfig, round: u64) -> u64 {
+        if round < u64::from(cfg.rounds) {
+            round * cfg.round_steps()
+        } else {
+            u64::MAX
+        }
+    }
+
     fn compute_role(&mut self) -> StepRole {
         if self.done || self.round_done {
             return StepRole::Idle;
@@ -535,6 +580,7 @@ impl<V: Aggregate> CogComp<V> {
         StepRole::Idle
     }
 
+    #[inline]
     fn decide_phase4(&mut self, ctx: &NodeCtx<'_>, step: u64, sub: u8) -> Action<CogCompMsg<V>> {
         if !self.phase4_ready {
             self.phase4_ready = true;
@@ -548,10 +594,15 @@ impl<V: Aggregate> CogComp<V> {
             }
         }
         // Round boundaries are derived from the globally known step
-        // count, so all nodes switch rounds in the same slot.
-        let target_round = (step / self.cfg.round_steps()).min(u64::from(self.cfg.rounds) - 1);
-        if target_round > self.round && !self.done {
-            self.advance_round(target_round);
+        // count, so all nodes switch rounds in the same slot. A node
+        // that missed slots may skip rounds, so the target is derived
+        // from `step` rather than incremented.
+        if step >= self.next_round_step {
+            let target_round = (step / self.cfg.round_steps()).min(u64::from(self.cfg.rounds) - 1);
+            if !self.done {
+                self.advance_round(target_round);
+            }
+            self.next_round_step = Self::round_start(&self.cfg, target_round + 1);
         }
         if sub == 0 {
             self.heard_announce = None;
@@ -615,6 +666,7 @@ impl<V: Aggregate> CogComp<V> {
         }
     }
 
+    #[inline]
     fn observe_phase4(&mut self, ctx: &NodeCtx<'_>, sub: u8, event: Event<CogCompMsg<V>>) {
         match (self.step_role, sub) {
             (StepRole::Sender, 0) => {
@@ -682,7 +734,14 @@ impl<V: Aggregate> CogComp<V> {
     }
 }
 
+// `decide`, `observe` and the per-phase functions behind them are
+// `#[inline]`: inlined into the engine's slot loop, an action or event
+// is built where the engine reads it. Returned through memory instead,
+// each was stored field by field and reloaded 16 bytes at a time, and
+// the failed store-to-load forwarding cost about a fifth of a COGCOMP
+// slot at n = 1024.
 impl<V: Aggregate> Protocol<CogCompMsg<V>> for CogComp<V> {
+    #[inline]
     fn decide(&mut self, ctx: &NodeCtx<'_>, rng: &mut SimRng) -> Action<CogCompMsg<V>> {
         match self.cfg.phase_at(ctx.slot) {
             PhaseAt::One(_) => self.decide_phase1(ctx, rng),
@@ -692,6 +751,7 @@ impl<V: Aggregate> Protocol<CogCompMsg<V>> for CogComp<V> {
         }
     }
 
+    #[inline]
     fn observe(&mut self, ctx: &NodeCtx<'_>, event: Event<CogCompMsg<V>>) {
         match self.cfg.phase_at(ctx.slot) {
             PhaseAt::One(_) => self.observe_phase1(ctx, event),

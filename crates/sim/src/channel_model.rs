@@ -53,6 +53,11 @@ pub trait ChannelModel {
 /// A static assignment with either global (sorted, shared) or local
 /// (per-node shuffled) channel labels.
 ///
+/// Every node's channels live in one flat table, node after node, with
+/// an offset per node (assignments may be ragged, so the stride is not
+/// fixed). The table is built in one allocation, and a local-label
+/// model shuffles each node's slice of it in place.
+///
 /// # Examples
 ///
 /// ```
@@ -70,9 +75,11 @@ pub trait ChannelModel {
 #[derive(Debug, Clone)]
 pub struct StaticChannels {
     assignment: ChannelAssignment,
-    /// Per node, channels in local-label order (a permutation of the
-    /// node's sorted set).
-    local_order: Vec<Vec<GlobalChannel>>,
+    /// Every node's channels in local-label order (each a permutation
+    /// of the node's sorted set), concatenated in node order.
+    table: Vec<GlobalChannel>,
+    /// Node `i`'s channels are `table[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
     global_labels: bool,
 }
 
@@ -81,14 +88,7 @@ impl StaticChannels {
     /// order, so label `l` means the same physical channel everywhere the
     /// channel is shared.
     pub fn global(assignment: ChannelAssignment) -> Self {
-        let local_order = (0..assignment.n())
-            .map(|i| assignment.channels_of(i).to_vec())
-            .collect();
-        StaticChannels {
-            assignment,
-            local_order,
-            global_labels: true,
-        }
+        Self::build(assignment, true, |_| {})
     }
 
     /// Local-label model: each node's labels are an arbitrary (seeded)
@@ -96,17 +96,30 @@ impl StaticChannels {
     /// assumption under which the paper's upper bounds are proved.
     pub fn local(assignment: ChannelAssignment, seed: u64) -> Self {
         let mut rng = derive_rng(seed, streams::LABELS);
-        let local_order = (0..assignment.n())
-            .map(|i| {
-                let mut v = assignment.channels_of(i).to_vec();
-                v.shuffle(&mut rng);
-                v
-            })
-            .collect();
+        Self::build(assignment, false, |slice| slice.shuffle(&mut rng))
+    }
+
+    /// Copies every node's sorted set into one table, then hands each
+    /// node's slice to `relabel` in node order.
+    fn build(
+        assignment: ChannelAssignment,
+        global_labels: bool,
+        mut relabel: impl FnMut(&mut [GlobalChannel]),
+    ) -> Self {
+        let n = assignment.n();
+        let mut table = Vec::with_capacity((0..n).map(|i| assignment.c_of(i)).sum());
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for i in 0..n {
+            table.extend_from_slice(assignment.channels_of(i));
+            relabel(&mut table[offsets[i]..]);
+            offsets.push(table.len());
+        }
         StaticChannels {
             assignment,
-            local_order,
-            global_labels: false,
+            table,
+            offsets,
+            global_labels,
         }
     }
 
@@ -123,8 +136,9 @@ impl ChannelModel for StaticChannels {
     fn c(&self) -> usize {
         self.assignment.c()
     }
+    #[inline]
     fn c_of(&self, node: usize) -> usize {
-        self.assignment.c_of(node)
+        self.offsets[node + 1] - self.offsets[node]
     }
     fn k(&self) -> usize {
         self.assignment.k()
@@ -136,8 +150,9 @@ impl ChannelModel for StaticChannels {
         self.global_labels
     }
     fn advance(&mut self, _slot: u64) {}
+    #[inline]
     fn channels(&self, node: usize) -> &[GlobalChannel] {
-        &self.local_order[node]
+        &self.table[self.offsets[node]..self.offsets[node + 1]]
     }
 }
 
@@ -169,7 +184,12 @@ pub struct DynamicSharedCore {
     pool: usize,
     churn: f64,
     rng: SimRng,
-    current: Vec<Vec<GlobalChannel>>,
+    /// Scratch for a redraw's pool pick: the non-core channel ids
+    /// `k..k + pool`.
+    pool_ids: Vec<u32>,
+    /// Every node's channels for the current slot, in local-label
+    /// order: node `i` owns `current[i * c..(i + 1) * c]`.
+    current: Vec<GlobalChannel>,
 }
 
 impl DynamicSharedCore {
@@ -202,35 +222,46 @@ impl DynamicSharedCore {
                 reason: format!("churn ({churn}) must be in [0, 1]"),
             });
         }
-        let rng = derive_rng(seed, streams::DYNAMIC);
         let mut model = DynamicSharedCore {
             n,
             c,
             k,
             pool,
             churn,
-            current: Vec::new(),
-            rng,
+            rng: derive_rng(seed, streams::DYNAMIC),
+            pool_ids: vec![0; pool],
+            current: vec![GlobalChannel(0); n * c],
         };
-        model.current = (0..n).map(|_| Vec::new()).collect();
-        // rng was moved into the struct; redraw all nodes for slot 0.
+        // Draw every node's set for slot 0.
         for i in 0..n {
             model.redraw(i);
         }
         Ok(model)
     }
 
+    /// Redraws `node`'s set in place: the `k` core channels plus
+    /// `c - k` distinct pool channels, then shuffles the labels.
+    ///
+    /// The pool pick is `choose_multiple`'s partial Fisher–Yates (one
+    /// `gen_range(i..pool)` per pick, each pick swapped to the front of
+    /// the ids in ascending order), run in the kept `pool_ids`, so it
+    /// makes the same draws and picks as `choose_multiple` without its
+    /// two allocations.
     fn redraw(&mut self, node: usize) {
-        let private = self.c - self.k;
-        let pool_ids: Vec<u32> = (self.k as u32..(self.k + self.pool) as u32).collect();
-        let mut v: Vec<GlobalChannel> = (0..self.k as u32).map(GlobalChannel).collect();
-        v.extend(
-            pool_ids
-                .choose_multiple(&mut self.rng, private)
-                .map(|&g| GlobalChannel(g)),
-        );
-        v.shuffle(&mut self.rng);
-        self.current[node] = v;
+        let (c, k) = (self.c, self.k);
+        let slice = &mut self.current[node * c..(node + 1) * c];
+        for (g, core) in slice[..k].iter_mut().zip(0u32..) {
+            *g = GlobalChannel(core);
+        }
+        for (id, g) in self.pool_ids.iter_mut().zip(k as u32..) {
+            *id = g;
+        }
+        for (i, g) in slice[k..].iter_mut().enumerate() {
+            let j = self.rng.gen_range(i..self.pool);
+            self.pool_ids.swap(i, j);
+            *g = GlobalChannel(self.pool_ids[i]);
+        }
+        slice.shuffle(&mut self.rng);
     }
 }
 
@@ -257,8 +288,9 @@ impl ChannelModel for DynamicSharedCore {
             }
         }
     }
+    #[inline]
     fn channels(&self, node: usize) -> &[GlobalChannel] {
-        &self.current[node]
+        &self.current[node * self.c..(node + 1) * self.c]
     }
 }
 
@@ -267,6 +299,11 @@ mod tests {
     use super::*;
     use crate::assignment::{full_overlap, shared_core};
     use std::collections::HashSet;
+
+    /// Every node's channels, node after node.
+    fn table(m: &impl ChannelModel) -> Vec<GlobalChannel> {
+        (0..m.n()).flat_map(|i| m.channels(i).to_vec()).collect()
+    }
 
     #[test]
     fn global_labels_preserve_sorted_order() {
@@ -305,11 +342,10 @@ mod tests {
     fn static_model_is_stable_across_advance() {
         let a = shared_core(3, 4, 2).unwrap();
         let mut m = StaticChannels::local(a, 7);
-        let before: Vec<Vec<GlobalChannel>> = (0..3).map(|i| m.channels(i).to_vec()).collect();
+        let before = table(&m);
         m.advance(0);
         m.advance(1);
-        let after: Vec<Vec<GlobalChannel>> = (0..3).map(|i| m.channels(i).to_vec()).collect();
-        assert_eq!(before, after);
+        assert_eq!(before, table(&m));
     }
 
     #[test]
@@ -330,12 +366,11 @@ mod tests {
     #[test]
     fn dynamic_zero_churn_is_static() {
         let mut m = DynamicSharedCore::new(3, 5, 2, 20, 0.0, 1).unwrap();
-        let before: Vec<Vec<GlobalChannel>> = (0..3).map(|i| m.channels(i).to_vec()).collect();
+        let before = table(&m);
         for slot in 0..10 {
             m.advance(slot);
         }
-        let after: Vec<Vec<GlobalChannel>> = (0..3).map(|i| m.channels(i).to_vec()).collect();
-        assert_eq!(before, after);
+        assert_eq!(before, table(&m));
     }
 
     #[test]
@@ -347,6 +382,38 @@ mod tests {
         // With 200 pool channels and 6 private picks, a redraw virtually
         // always changes the set (and the shuffle changes order anyway).
         assert_ne!(before, after);
+    }
+
+    #[test]
+    fn dynamic_redraw_matches_choose_multiple_then_shuffle() {
+        // The in-place redraw must make the draws of collecting a
+        // fresh `choose_multiple` pick and shuffling it, node by node.
+        let (n, c, k, pool, churn) = (6, 7, 2, 9, 0.6);
+        for seed in 0..20 {
+            let mut rng = derive_rng(seed, streams::DYNAMIC);
+            let pool_ids: Vec<u32> = (k as u32..(k + pool) as u32).collect();
+            let redraw = |rng: &mut SimRng| {
+                let mut v: Vec<GlobalChannel> = (0..k as u32).map(GlobalChannel).collect();
+                v.extend(
+                    pool_ids
+                        .choose_multiple(rng, c - k)
+                        .map(|&g| GlobalChannel(g)),
+                );
+                v.shuffle(rng);
+                v
+            };
+            let mut expected: Vec<GlobalChannel> = (0..n).flat_map(|_| redraw(&mut rng)).collect();
+            let mut m = DynamicSharedCore::new(n, c, k, pool, churn, seed).unwrap();
+            for slot in 0..30 {
+                assert_eq!(table(&m), expected, "seed {seed}, slot {slot}");
+                m.advance(slot);
+                for want in expected.chunks_mut(c) {
+                    if rng.gen_bool(churn) {
+                        want.copy_from_slice(&redraw(&mut rng));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -174,7 +174,9 @@ struct Scratch<M> {
     /// Phase B: `(channel, node, is_broadcast)` in ascending node order
     /// — the medium's [`SlotInputs::tuned`].
     tuned: Vec<(crate::ids::GlobalChannel, usize, bool)>,
-    /// Phase C/D: per node, the event to observe (`None` = sleeper).
+    /// Phase C/D: per node, the event to observe. Sized once per node
+    /// count and all `None` between slots: the medium fills the tuned
+    /// nodes' entries and Phase D takes them back.
     events: Vec<Option<Event<M>>>,
 }
 
@@ -378,59 +380,58 @@ where
 
         self.model.advance(slot);
 
-        // Phase A: collect decisions.
-        self.scratch.actions.clear();
-        for i in 0..n {
+        // Phases A and B in one pass: each node decides, and a tuned
+        // node's local label is translated to its global channel at
+        // once, reading the node's channel slice a single time.
+        let Scratch {
+            actions,
+            tuned,
+            events,
+        } = &mut self.scratch;
+        actions.clear();
+        tuned.clear();
+        let mut sleepers = 0usize;
+        for (i, (protocol, rng)) in self
+            .protocols
+            .iter_mut()
+            .zip(&mut self.node_rngs)
+            .enumerate()
+        {
             let c_i = self.model.c_of(i);
+            let channels = self.model.channels(i);
             let ctx = NodeCtx {
                 id: NodeId(i as u32),
                 slot,
                 n,
                 c: c_i,
                 k,
-                channels: if global_labels {
-                    Some(self.model.channels(i))
-                } else {
-                    None
-                },
+                channels: global_labels.then_some(channels),
             };
-            let action = self.protocols[i].decide(&ctx, &mut self.node_rngs[i]);
-            if let Some(ch) = action.channel() {
-                assert!(
-                    ch.index() < c_i,
-                    "protocol bug: node {i} chose local channel {ch} but c = {c_i}"
-                );
+            let action = protocol.decide(&ctx, rng);
+            match action.channel() {
+                Some(local) => {
+                    assert!(
+                        local.index() < c_i,
+                        "protocol bug: node {i} chose local channel {local} but c = {c_i}"
+                    );
+                    tuned.push((channels[local.index()], i, action.is_broadcast()));
+                }
+                None => sleepers += 1,
             }
-            self.scratch.actions.push(action);
-        }
-
-        // Phase B: translate to global channels.
-        let mut sleepers = 0usize;
-        self.scratch.tuned.clear();
-        for (i, action) in self.scratch.actions.iter().enumerate() {
-            let Some(local) = action.channel() else {
-                sleepers += 1;
-                continue;
-            };
-            self.scratch.tuned.push((
-                self.model.channels(i)[local.index()],
-                i,
-                action.is_broadcast(),
-            ));
+            actions.push(action);
         }
 
         // Phase C: the medium resolves contention, filling in every
         // tuned participant's event and this slot's channel records.
+        // `events` is sized once per node count: Phase D drains every
+        // event the medium sets, so it arrives here all `None`.
         self.activity.slot = slot;
         self.activity.sleepers = sleepers;
         self.activity.jammed = 0;
-        self.scratch.events.clear();
-        self.scratch.events.resize(n, None);
-        let Scratch {
-            actions,
-            tuned,
-            events,
-        } = &mut self.scratch;
+        if events.len() != n {
+            events.clear();
+            events.resize(n, None);
+        }
         self.medium.resolve(
             &SlotInputs {
                 slot,
@@ -445,31 +446,33 @@ where
         );
         self.recorded = build_records;
 
-        // Phase D: deliver observations (sleepers observe nothing),
-        // fused with a doneness tally so `all_done` is O(1) in run
-        // loops instead of an O(n) rescan every slot.
-        let mut done_count = 0usize;
-        for i in 0..n {
-            if let Some(event) = self.scratch.events[i].take() {
+        // Phase D: deliver observations to the participants only
+        // (sleepers observe nothing), in ascending node order; then
+        // tally doneness so `all_done` is O(1) in run loops instead of
+        // an O(n) rescan every slot.
+        for &(_, i, _) in tuned.iter() {
+            let event = events[i].take();
+            debug_assert!(
+                event.is_some(),
+                "the medium left tuned node {i} without an event"
+            );
+            if let Some(event) = event {
                 let ctx = NodeCtx {
                     id: NodeId(i as u32),
                     slot,
                     n,
                     c: self.model.c_of(i),
                     k,
-                    channels: if global_labels {
-                        Some(self.model.channels(i))
-                    } else {
-                        None
-                    },
+                    channels: global_labels.then(|| self.model.channels(i)),
                 };
                 self.protocols[i].observe(&ctx, event);
             }
-            if self.protocols[i].is_done() {
-                done_count += 1;
-            }
         }
-        self.done_cache = Some(done_count);
+        debug_assert!(
+            events.iter().all(Option::is_none),
+            "the medium set an event for a node that was not tuned"
+        );
+        self.done_cache = Some(self.protocols.iter().filter(|p| p.is_done()).count());
 
         // With the `validate` feature, every slot is checked against the
         // Section 2 contract before being published; the first violation

@@ -110,10 +110,13 @@ pub struct SlotInputs<'a, M> {
 ///
 /// Contract:
 ///
-/// - From the engine, `events` arrives all `None`; the medium must set
-///   `events[i]` for exactly the nodes in `inputs.tuned`. A wrapper
-///   that filters `tuned` sets the events of the nodes it removes
-///   itself.
+/// - From the engine, `events` arrives all `None`: the engine sizes it
+///   once and its observe phase takes back every event the medium
+///   set, visiting only the nodes in `inputs.tuned`. The medium must
+///   therefore set `events[i]` for exactly the nodes in
+///   `inputs.tuned` — an event left anywhere else would leak into a
+///   later slot. A wrapper that filters `tuned` sets the events of the
+///   nodes it removes itself.
 /// - `activity` arrives with `slot` and `sleepers` set, `jammed` at 0
 ///   (a jamming wrapper counts its jammed nodes there), and
 ///   `channels` still holding the records of the last slot
@@ -588,7 +591,9 @@ pub struct OracleMultihop {
     is_complete: bool,
     inner: OracleSingleHop,
     rng: SimRng,
-    /// Per node: `(channel, is_broadcast)` if tuned this slot.
+    /// Per node: `(channel, is_broadcast)` if tuned this slot. Between
+    /// slots every entry is `None`: a slot resets only the entries it
+    /// set.
     node_tuned: Vec<Option<(GlobalChannel, bool)>>,
     /// Scratch: a listener's transmitting neighbors on its channel.
     senders: Vec<usize>,
@@ -633,8 +638,10 @@ impl<M: Clone> Medium<M> for OracleMultihop {
             return self.inner.resolve(inputs, events, activity);
         }
 
-        self.node_tuned.clear();
-        self.node_tuned.resize(inputs.n, None);
+        if self.node_tuned.len() != inputs.n {
+            self.node_tuned.clear();
+            self.node_tuned.resize(inputs.n, None);
+        }
         for &(ch, node, is_broadcast) in inputs.tuned {
             self.node_tuned[node] = Some((ch, is_broadcast));
         }
@@ -666,6 +673,10 @@ impl<M: Clone> Medium<M> for OracleMultihop {
                     }
                 }
             });
+        }
+
+        for &(_, node, _) in inputs.tuned {
+            self.node_tuned[node] = None;
         }
 
         // Physical-layer record: who was tuned where, grouped as the
@@ -1286,6 +1297,32 @@ mod tests {
         let model = StaticChannels::global(full_overlap(actions.len(), c).unwrap());
         let protos = actions.into_iter().map(fixed).collect();
         Network::with_medium(model, protos, seed, OracleMultihop::new(topology)).unwrap()
+    }
+
+    #[test]
+    fn multihop_forgets_the_last_slots_tuning() {
+        // A broadcaster that goes to sleep is not heard in the next
+        // slot: each slot resets the tunings it recorded.
+        let actions = vec![
+            Action::Broadcast(LocalChannel(0), 9),
+            Action::Listen(LocalChannel(0)),
+            Action::Listen(LocalChannel(0)),
+        ];
+        let mut net = fixed_multihop(Topology::line(3), 1, actions, 2);
+        net.step();
+        net.protocols_mut()[0].action = Action::Sleep;
+        net.step();
+        let p = net.into_protocols();
+        assert_eq!(
+            p[1].heard,
+            vec![
+                Event::Received {
+                    from: NodeId(0),
+                    msg: 9
+                },
+                Event::Silence
+            ]
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! the network must perform zero heap allocations — with and without an
 //! interference model installed, record-free
 //! ([`Network::step_unrecorded`]) on a channel space far larger than
-//! the network, and on the decay-backoff medium ([`PhysicalDecay`]),
-//! with and without records.
+//! the network, on the decay-backoff medium ([`PhysicalDecay`]),
+//! with and without records, and under a churned channel model
+//! ([`DynamicSharedCore`]) that redraws node sets every slot.
 //!
 //! This file intentionally contains a single `#[test]` so no concurrent
 //! test can allocate while the counter is being read.
@@ -18,7 +19,7 @@
 #![cfg(not(feature = "validate"))]
 
 use crn_sim::assignment::shared_core;
-use crn_sim::channel_model::StaticChannels;
+use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
 use crn_sim::interference::Interference;
 use crn_sim::rng::SimRng;
 use crn_sim::{
@@ -186,5 +187,18 @@ fn step_is_allocation_free_in_steady_state() {
             lean_physical_net.step_unrecorded();
         },
         "physical record-free, n = 1024",
+    );
+
+    // A churned channel model redraws node sets every slot in place,
+    // so set churn allocates nothing either.
+    let n = 64;
+    let model = DynamicSharedCore::new(n, 8, 2, 60, 0.5, 17).unwrap();
+    let mut churned_net =
+        Network::with_medium(model, hopper_protos(n), 17, OracleSingleHop::new()).unwrap();
+    assert_steady_state_alloc_free(
+        || {
+            churned_net.step();
+        },
+        "churned, n = 64",
     );
 }
