@@ -154,11 +154,22 @@ pub fn a2(effort: Effort) -> Table {
     t
 }
 
+/// A3's `(n, c, k)` shapes.
+const A3_SHAPES: [(usize, usize, usize); 3] = [(32, 8, 2), (64, 16, 2), (16, 32, 4)];
+
+/// The alphas whose Theorem 4 budgets A3 tabulates, in ascending order.
+const A3_ALPHAS: [f64; 5] = [1.0, 2.0, 4.0, 6.0, 10.0];
+
 /// **A3** — calibrating `alpha`: the empirical completion probability
 /// of COGCAST within the `alpha`-scaled Theorem 4 budget, justifying
 /// [`bounds::DEFAULT_ALPHA`].
+///
+/// A budget only truncates a run: [`run_broadcast`] executes the same
+/// slots under any budget and merely stops sooner. So each (shape,
+/// seed) trial runs once, under the largest alpha's budget, and counts
+/// as complete under a smaller alpha exactly when it finished within
+/// that alpha's budget.
 pub fn a3(effort: Effort) -> Table {
-    let shapes: &[(usize, usize, usize)] = &[(32, 8, 2), (64, 16, 2), (16, 32, 4)];
     let trials = effort.trials(200);
     let mut t = Table::new(
         "A3: COGCAST completion probability within the alpha-scaled Theorem 4 budget",
@@ -166,20 +177,21 @@ pub fn a3(effort: Effort) -> Table {
             "n", "c", "k", "alpha=1", "alpha=2", "alpha=4", "alpha=6", "alpha=10",
         ],
     );
-    for &(n, c, k) in &effort.sweep(shapes) {
+    for &(n, c, k) in &effort.sweep(&A3_SHAPES) {
+        let budgets = A3_ALPHAS.map(|alpha| bounds::cogcast_slots(n, c, k, alpha));
+        let largest = budgets[budgets.len() - 1];
+        let slots = par_trials(trials, |seed| {
+            let model = StaticChannels::local(shared_core(n, c, k).expect("valid"), seed);
+            run_broadcast(model, seed, largest)
+                .expect("construct")
+                .slots
+        });
         let mut row = vec![n.to_string(), c.to_string(), k.to_string()];
-        for alpha in [1.0f64, 2.0, 4.0, 6.0, 10.0] {
-            let budget = bounds::cogcast_slots(n, c, k, alpha);
-            let ok = par_trials(trials, |seed| {
-                let model = StaticChannels::local(shared_core(n, c, k).expect("valid"), seed);
-                u64::from(
-                    run_broadcast(model, seed, budget)
-                        .expect("construct")
-                        .completed(),
-                )
-            })
-            .iter()
-            .sum::<u64>();
+        for budget in budgets {
+            let ok = slots
+                .iter()
+                .filter(|s| s.is_some_and(|s| s <= budget))
+                .count();
             row.push(format!("{:.3}", ok as f64 / trials as f64));
         }
         t.push_row(row);
@@ -283,6 +295,33 @@ mod tests {
         let base: f64 = t.rows()[0][1].parse().unwrap();
         let worst: f64 = t.rows().last().unwrap()[1].parse().unwrap();
         assert!(worst > base, "downtime must cost something");
+    }
+
+    #[test]
+    fn a3_matches_one_run_per_alpha() {
+        // The oracle: every alpha gets its own runs under its own
+        // budget, as A3 was first written.
+        let effort = Effort::Quick;
+        let trials = effort.trials(200);
+        let rows: Vec<Vec<String>> = effort
+            .sweep(&A3_SHAPES)
+            .into_iter()
+            .map(|(n, c, k)| {
+                let mut row = vec![n.to_string(), c.to_string(), k.to_string()];
+                for alpha in A3_ALPHAS {
+                    let budget = bounds::cogcast_slots(n, c, k, alpha);
+                    let ok = (0..trials as u64)
+                        .filter(|&seed| {
+                            let model = StaticChannels::local(shared_core(n, c, k).unwrap(), seed);
+                            run_broadcast(model, seed, budget).unwrap().completed()
+                        })
+                        .count();
+                    row.push(format!("{:.3}", ok as f64 / trials as f64));
+                }
+                row
+            })
+            .collect();
+        assert_eq!(a3(effort).rows(), rows.as_slice());
     }
 
     #[test]

@@ -86,7 +86,8 @@ pub fn measure_stage_one<CM: ChannelModel>(
         protos.extend((1..n).map(|_| CogCast::node()));
         let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new())?;
         for _ in 0..budget {
-            let informed = net.protocols().iter().filter(|p| p.is_informed()).count();
+            // `CogCast::is_done` is `is_informed`.
+            let informed = net.done_count();
             if informed * 2 > c || informed == n {
                 break;
             }
@@ -130,13 +131,14 @@ pub fn measure_stage_two<CM: ChannelModel>(
         protos.extend((1..n).map(|_| CogCast::node()));
         let mut net = Network::with_medium(model, protos, seed, OracleSingleHop::new())?;
         for _ in 0..budget {
-            let informed = net.protocols().iter().filter(|p| p.is_informed()).count();
+            // `CogCast::is_done` is `is_informed`.
+            let informed = net.done_count();
             if informed == n {
                 break;
             }
             let in_stage_two = informed * 2 >= c;
             net.step_unrecorded();
-            let now = net.protocols().iter().filter(|p| p.is_informed()).count();
+            let now = net.done_count();
             if in_stage_two {
                 opportunities += (n - informed) as u64;
                 successes += (now - informed) as u64;

@@ -363,7 +363,9 @@ where
     let mut slots = None;
     for s in 0..budget {
         net.step_unrecorded();
-        let informed = net.protocols().iter().filter(|p| p.is_informed()).count();
+        // `CogCast::is_done` is `is_informed`: the engine's doneness
+        // tally counts the informed nodes.
+        let informed = net.done_count();
         informed_per_slot.push(informed);
         if informed == n {
             slots = Some(s + 1);

@@ -102,7 +102,8 @@ pub fn run_jammed_broadcast(
     let mut slots = None;
     for s in 0..budget {
         net.step_unrecorded();
-        let informed = net.protocols().iter().filter(|p| p.is_informed()).count();
+        // `CogCast::is_done` is `is_informed`.
+        let informed = net.done_count();
         informed_per_slot.push(informed);
         if informed == n {
             slots = Some(s + 1);

@@ -81,14 +81,17 @@ impl<V: Aggregate> Protocol<BaselineMsg<V>> for RendezvousAggregation<V> {
     fn decide(&mut self, ctx: &NodeCtx<'_>, rng: &mut SimRng) -> Action<BaselineMsg<V>> {
         let meeting_slot = ctx.slot.is_multiple_of(2);
         if meeting_slot {
+            if self.delivered && !self.is_source {
+                // Nothing reads a delivered sender's stream again, so
+                // it sleeps without drawing a channel.
+                return Action::Sleep;
+            }
             self.current_channel = LocalChannel(rng.gen_range(0..ctx.c as u32));
             if self.is_source {
                 if self.collected.len() >= self.expected {
                     return Action::Sleep;
                 }
                 Action::Listen(self.current_channel)
-            } else if self.delivered {
-                Action::Sleep
             } else {
                 Action::Broadcast(
                     self.current_channel,

@@ -127,7 +127,8 @@ pub fn run_baseline_broadcast<CM: ChannelModel>(
     let mut slots = None;
     for s in 0..budget {
         net.step_unrecorded();
-        let informed = net.protocols().iter().filter(|p| p.is_informed()).count();
+        // `is_done` is `is_informed`.
+        let informed = net.done_count();
         informed_per_slot.push(informed);
         if informed == n {
             slots = Some(s + 1);

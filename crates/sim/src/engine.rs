@@ -169,7 +169,9 @@ pub struct Network<M, P, CM, Med = OracleSingleHop> {
 /// [`OracleSingleHop`] medium upholds the same guarantee for the
 /// resolution path.
 struct Scratch<M> {
-    /// Phase A: each node's chosen action this slot.
+    /// Phase A: each tuned node's chosen action this slot. Sized once
+    /// per node count; a sleeper's entry is not written, so it may
+    /// hold an earlier slot's action (see [`SlotInputs::actions`]).
     actions: Vec<Action<M>>,
     /// Phase B: `(channel, node, is_broadcast)` in ascending node order
     /// — the medium's [`SlotInputs::tuned`].
@@ -330,10 +332,16 @@ where
     /// protocols. Falls back to the scan when the tally is stale
     /// (before the first step, or after [`Network::protocols_mut`]).
     pub fn all_done(&self) -> bool {
-        match self.done_cache {
-            Some(done) => done == self.protocols.len(),
-            None => self.protocols.iter().all(|p| p.is_done()),
-        }
+        self.done_count() == self.protocols.len()
+    }
+
+    /// How many protocols report [`Protocol::is_done`].
+    ///
+    /// O(1) after a [`Network::step`], read from the observe phase's
+    /// tally like [`Network::all_done`]; a scan when the tally is stale.
+    pub fn done_count(&self) -> usize {
+        self.done_cache
+            .unwrap_or_else(|| self.protocols.iter().filter(|p| p.is_done()).count())
     }
 
     /// Executes one slot and returns its activity record.
@@ -388,7 +396,10 @@ where
             tuned,
             events,
         } = &mut self.scratch;
-        actions.clear();
+        if actions.len() != n {
+            actions.clear();
+            actions.resize_with(n, || Action::Sleep);
+        }
         tuned.clear();
         let mut sleepers = 0usize;
         for (i, (protocol, rng)) in self
@@ -415,10 +426,10 @@ where
                         "protocol bug: node {i} chose local channel {local} but c = {c_i}"
                     );
                     tuned.push((channels[local.index()], i, action.is_broadcast()));
+                    actions[i] = action;
                 }
                 None => sleepers += 1,
             }
-            actions.push(action);
         }
 
         // Phase C: the medium resolves contention, filling in every
@@ -640,6 +651,40 @@ mod tests {
         net.step();
         assert!(net.protocols()[0].events.is_empty());
         assert_eq!(net.last_activity().map(|a| a.sleepers), Some(1));
+    }
+
+    #[test]
+    fn a_sleeper_is_not_heard_again() {
+        // Node 0 broadcasts in slot 0 and sleeps in slot 1; the engine
+        // keeps its slot-0 action in the actions scratch, which no
+        // medium may read once node 0 is no longer tuned.
+        fn check<Med: Medium<u32>>(medium: Med) {
+            let model = StaticChannels::global(full_overlap(2, 1).unwrap());
+            let protos = vec![
+                Scripted::new(vec![Action::Broadcast(LocalChannel(0), 5), Action::Sleep]),
+                Scripted::new(vec![Action::Listen(LocalChannel(0))]),
+            ];
+            let mut net = Network::with_medium(model, protos, 1, medium).unwrap();
+            net.step();
+            net.step();
+            let p = net.protocols();
+            assert_eq!(p[0].events, vec![Event::Delivered]);
+            assert_eq!(
+                p[1].events,
+                vec![
+                    Event::Received {
+                        from: NodeId(0),
+                        msg: 5
+                    },
+                    Event::Silence
+                ]
+            );
+        }
+        check(OracleSingleHop::new());
+        check(crate::medium::PhysicalDecay::new());
+        check(crate::medium::OracleMultihop::new(
+            crate::topology::Topology::complete(2),
+        ));
     }
 
     #[test]

@@ -88,8 +88,9 @@ pub struct SlotInputs<'a, M> {
     pub n: usize,
     /// Size of the global channel space.
     pub total_channels: usize,
-    /// Each node's committed action (indexed by node; the actions of
-    /// nodes absent from `tuned` must be ignored).
+    /// Each node's committed action, indexed by node. Only the entries
+    /// of nodes in `tuned` are this slot's: a node absent from `tuned`
+    /// may hold an earlier slot's action, which must be ignored.
     pub actions: &'a [Action<M>],
     /// The participating `(channel, node, is_broadcast)` triples, in
     /// ascending node order.

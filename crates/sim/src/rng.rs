@@ -280,6 +280,59 @@ mod tests {
         );
     }
 
+    /// Lemire's widening-multiply rejection with the threshold divided
+    /// out on every draw, as `gen_range` first computed it.
+    fn below_dividing_every_draw(rng: &mut impl RngCore, bound: u64) -> u64 {
+        let threshold = bound.wrapping_neg() % bound;
+        loop {
+            let m = (rng.next_u64() as u128) * (bound as u128);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    /// `gen_range(0..bound)` on `rng` must give the reference's values
+    /// and consume its stream exactly as far.
+    fn assert_gen_range_matches_reference<R: Rng + Clone + PartialEq + std::fmt::Debug>(rng: R) {
+        let bounds = [
+            1u64,
+            2,
+            3,
+            6,
+            8,
+            12,
+            32,
+            1 << 31,
+            u64::from(u32::MAX),
+            (1 << 32) + 1,
+            // 2^64 % bound = 2^63 - 1: about half of all draws are
+            // rejected, so the retry loop runs.
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        for bound in bounds {
+            let mut ours = rng.clone();
+            let mut reference = rng.clone();
+            for draw in 0..10_000 {
+                assert_eq!(
+                    ours.gen_range(0..bound),
+                    below_dividing_every_draw(&mut reference, bound),
+                    "bound {bound}, draw {draw}"
+                );
+            }
+            assert_eq!(ours, reference, "bound {bound}: the streams drifted apart");
+        }
+    }
+
+    #[test]
+    fn gen_range_draws_match_dividing_on_every_draw() {
+        for seed in [0u64, 7, u64::MAX] {
+            assert_gen_range_matches_reference(SimRng::seed_from_u64(seed));
+            assert_gen_range_matches_reference(rand::rngs::StdRng::seed_from_u64(seed));
+        }
+    }
+
     #[test]
     fn sim_rng_gen_range_is_unbiased_smoke() {
         let mut r = derive_rng(9, streams::ENGINE);
