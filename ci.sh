@@ -19,15 +19,18 @@
 #   7. the same experiment smoke with the in-step validator compiled
 #      in (--features validate), so every slot of every experiment is
 #      checked against the model contract end to end
-#   8. rustdoc across the workspace with warnings denied (broken
+#   8. the crn-sim and crn-core tests in release with the in-step
+#      validator compiled in, so every slot of every engine and
+#      protocol test is checked against the model contract too
+#   9. rustdoc across the workspace with warnings denied (broken
 #      intra-doc links are errors)
-#   9. every experiment at full effort (~4 s), diffed against the
+#  10. every experiment at full effort (~4 s), diffed against the
 #      recorded tables in results/experiments-full.md; the
 #      "[<id> completed in …]" timing lines are ignored
-#  10. every example under examples/, built in release and run (~0.1 s)
-#  11. the ignored large-scale stress tests (tests/stress.rs) in release
+#  11. every example under examples/, built in release and run (~0.1 s)
+#  12. the ignored large-scale stress tests (tests/stress.rs) in release
 #      (well under a second once built)
-#  12. the benchmark package (perfbench/, its own workspace) built and
+#  13. the benchmark package (perfbench/, its own workspace) built and
 #      its transparency test run: the benchmark reads the engine only
 #      through its public API (Network::with_medium, the Medium trait
 #      with Medium::resolve filling channel records, Network::step,
@@ -63,6 +66,9 @@ cargo run --release -q -p crn-bench --bin conformance -- --quick
 
 echo "==> experiments all --quick with the in-step validator (smoke)"
 cargo run --release -q -p crn-bench --features validate --bin experiments -- all --quick > /dev/null
+
+echo "==> crn-sim and crn-core tests with the in-step validator"
+cargo test --release -q -p crn-sim -p crn-core --features crn-sim/validate
 
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -365,7 +365,7 @@ fn write_engine_baseline(_: &mut Criterion) {
     let host_cores = crn_sim::pool::default_workers();
     let revision = crn_bench::revision();
     let json = format!(
-        "{{\n  \"bench\": \"slot_engine\",\n  \"workload\": \"COGCAST broadcast, shared_core(n, c, 2), local labels\",\n  \"engine\": \"scratch-buffered, allocation-free steady state, record-free oracle resolution (order-free winner draws: lone broadcasters skipped, only contended channels ranked), every trial stepped on one thread\",\n  \"grid_note\": \"ns_per_slot steps with step() (channel records built); record_free_ns_per_slot with step_unrecorded(), as the protocol runners step\",\n  \"host_cores\": {host_cores},\n  \"revision\": \"{revision}\",\n  \"grid\": [\n{}\n  ],\n  \"physical_slot\": [\n{}\n  ],\n  \"kernels_note\": \"step_unrecorded() on one thread, thread CPU time from /proc/thread-self/schedstat: median of {REPS} repetitions of at least {min_rep_s} s each (for cogcomp-sum, each phase), with their min and max. Engine floors: T6's 2-node jump-stay pair, and asleep / listen-on-channel-0 / random broadcast-or-listen nodes on shared_core(n, 8, 2). cogcomp-sum: whole COGCOMP Sum executions on shared_core(n, 8, 2), local labels, alpha = {alpha}; phase_ns_per_slot is the median per phase, one to four\",\n  \"kernels\": [\n{}\n  ],\n  \"par_trials\": {{\"trials\": {trials}, \"slots_per_trial\": {per_trial_slots}, \"aggregate_slots_per_sec\": {aggregate:.0}}}\n}}\n",
+        "{{\n  \"bench\": \"slot_engine\",\n  \"workload\": \"COGCAST broadcast, shared_core(n, c, 2), local labels\",\n  \"engine\": \"scratch-buffered, allocation-free steady state, record-free one-pass single-hop resolution (lone participants final in the first pass, only shared channels walked again; lone draws skipped, only contended channels sorted), every trial stepped on one thread\",\n  \"grid_note\": \"ns_per_slot steps with step() (channel records built); record_free_ns_per_slot with step_unrecorded(), as the protocol runners step\",\n  \"host_cores\": {host_cores},\n  \"revision\": \"{revision}\",\n  \"grid\": [\n{}\n  ],\n  \"physical_slot\": [\n{}\n  ],\n  \"kernels_note\": \"step_unrecorded() on one thread, thread CPU time from /proc/thread-self/schedstat: median of {REPS} repetitions of at least {min_rep_s} s each (for cogcomp-sum, each phase), with their min and max. Engine floors: T6's 2-node jump-stay pair, and asleep / listen-on-channel-0 / random broadcast-or-listen nodes on shared_core(n, 8, 2). cogcomp-sum: whole COGCOMP Sum executions on shared_core(n, 8, 2), local labels, alpha = {alpha}; phase_ns_per_slot is the median per phase, one to four\",\n  \"kernels\": [\n{}\n  ],\n  \"par_trials\": {{\"trials\": {trials}, \"slots_per_trial\": {per_trial_slots}, \"aggregate_slots_per_sec\": {aggregate:.0}}}\n}}\n",
         rows.join(",\n"),
         physical_rows.join(",\n"),
         floor_rows.join(",\n"),

@@ -327,8 +327,8 @@ where
 
     /// True once every protocol reports [`Protocol::is_done`].
     ///
-    /// O(1) after a [`Network::step`]: the observe phase tallies
-    /// doneness as it runs, so per-slot run loops don't rescan all `n`
+    /// O(1) after a [`Network::step`]: the slot tallies doneness as it
+    /// runs, so per-slot run loops don't rescan all `n`
     /// protocols. Falls back to the scan when the tally is stale
     /// (before the first step, or after [`Network::protocols_mut`]).
     pub fn all_done(&self) -> bool {
@@ -337,8 +337,8 @@ where
 
     /// How many protocols report [`Protocol::is_done`].
     ///
-    /// O(1) after a [`Network::step`], read from the observe phase's
-    /// tally like [`Network::all_done`]; a scan when the tally is stale.
+    /// O(1) after a [`Network::step`], read from the slot's tally like
+    /// [`Network::all_done`]; a scan when the tally is stale.
     pub fn done_count(&self) -> usize {
         self.done_cache
             .unwrap_or_else(|| self.protocols.iter().filter(|p| p.is_done()).count())
@@ -401,7 +401,10 @@ where
             actions.resize_with(n, || Action::Sleep);
         }
         tuned.clear();
-        let mut sleepers = 0usize;
+        // Doneness is tallied as each protocol finishes its part of the
+        // slot: a sleeper after `decide`, a tuned node after `observe`,
+        // so `all_done` is O(1) in run loops instead of an O(n) rescan.
+        let (mut sleepers, mut done) = (0usize, 0usize);
         for (i, (protocol, rng)) in self
             .protocols
             .iter_mut()
@@ -428,7 +431,10 @@ where
                     tuned.push((channels[local.index()], i, action.is_broadcast()));
                     actions[i] = action;
                 }
-                None => sleepers += 1,
+                None => {
+                    sleepers += 1;
+                    done += usize::from(protocol.is_done());
+                }
             }
         }
 
@@ -458,9 +464,7 @@ where
         self.recorded = build_records;
 
         // Phase D: deliver observations to the participants only
-        // (sleepers observe nothing), in ascending node order; then
-        // tally doneness so `all_done` is O(1) in run loops instead of
-        // an O(n) rescan every slot.
+        // (sleepers observe nothing), in ascending node order.
         for &(_, i, _) in tuned.iter() {
             let event = events[i].take();
             debug_assert!(
@@ -478,12 +482,13 @@ where
                 };
                 self.protocols[i].observe(&ctx, event);
             }
+            done += usize::from(self.protocols[i].is_done());
         }
         debug_assert!(
             events.iter().all(Option::is_none),
             "the medium set an event for a node that was not tuned"
         );
-        self.done_cache = Some(self.protocols.iter().filter(|p| p.is_done()).count());
+        self.done_cache = Some(done);
 
         // With the `validate` feature, every slot is checked against the
         // Section 2 contract before being published; the first violation
@@ -862,5 +867,47 @@ mod tests {
             !net.all_done(),
             "protocols_mut must invalidate the done cache"
         );
+    }
+
+    /// Broadcasts or listens on channel 0 every slot; a listener is
+    /// done once it has received a message.
+    struct DoneOnReceive {
+        broadcast: bool,
+        heard: bool,
+    }
+
+    impl Protocol<u32> for DoneOnReceive {
+        fn decide(&mut self, _ctx: &NodeCtx<'_>, _rng: &mut SimRng) -> Action<u32> {
+            if self.broadcast {
+                Action::Broadcast(LocalChannel(0), 7)
+            } else {
+                Action::Listen(LocalChannel(0))
+            }
+        }
+        fn observe(&mut self, _ctx: &NodeCtx<'_>, event: Event<u32>) {
+            self.heard |= matches!(event, Event::Received { .. });
+        }
+        fn is_done(&self) -> bool {
+            self.heard
+        }
+    }
+
+    #[test]
+    fn doneness_flipped_in_observe_is_tallied() {
+        let model = StaticChannels::global(full_overlap(3, 1).unwrap());
+        let protos = [true, false, false]
+            .map(|broadcast| DoneOnReceive {
+                broadcast,
+                heard: false,
+            })
+            .into();
+        let mut net = Network::with_medium(model, protos, 0, OracleSingleHop::new()).unwrap();
+        assert_eq!(net.done_count(), 0);
+        net.step_unrecorded();
+        // Both listeners turned done in this slot's observe phase.
+        assert_eq!(net.done_count(), 2);
+        assert!(!net.all_done());
+        net.protocols_mut()[0].heard = true;
+        assert!(net.all_done(), "the rescan sees the mutated state");
     }
 }

@@ -7,8 +7,10 @@
 //! interference model installed, record-free
 //! ([`Network::step_unrecorded`]) on a channel space far larger than
 //! the network, on the decay-backoff medium ([`PhysicalDecay`]),
-//! with and without records, and under a churned channel model
-//! ([`DynamicSharedCore`]) that redraws node sets every slot.
+//! with and without records, under a churned channel model
+//! ([`DynamicSharedCore`]) that redraws node sets every slot, and on
+//! both single-hop media with every shape of shared channel in every
+//! slot.
 //!
 //! This file intentionally contains a single `#[test]` so no concurrent
 //! test can allocate while the counter is being read.
@@ -18,7 +20,7 @@
 //! checking, so this test is compiled out under it.
 #![cfg(not(feature = "validate"))]
 
-use crn_sim::assignment::shared_core;
+use crn_sim::assignment::{full_overlap, shared_core};
 use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
 use crn_sim::interference::Interference;
 use crn_sim::rng::SimRng;
@@ -92,6 +94,44 @@ impl Interference for AlternatingJammer {
     fn is_jammed(&self, node: NodeId, channel: GlobalChannel) -> bool {
         self.odd_slot && node == NodeId(1) && channel == GlobalChannel(0)
     }
+}
+
+/// A fixed role on a channel that moves up by one every slot. The nine
+/// [`mixed_protos`] put, in every slot, two listeners alone on one
+/// channel, a lone broadcaster with two listeners on another, and
+/// three broadcasters with a listener on a third.
+struct Rotating {
+    offset: u32,
+    broadcast: bool,
+}
+
+impl Protocol<u8> for Rotating {
+    fn decide(&mut self, ctx: &NodeCtx<'_>, _rng: &mut SimRng) -> Action<u8> {
+        let ch = LocalChannel(((ctx.slot + u64::from(self.offset)) % ctx.c as u64) as u32);
+        if self.broadcast {
+            Action::Broadcast(ch, 0xCD)
+        } else {
+            Action::Listen(ch)
+        }
+    }
+
+    fn observe(&mut self, _ctx: &NodeCtx<'_>, _event: Event<u8>) {}
+}
+
+fn mixed_protos() -> Vec<Rotating> {
+    [
+        (0, false),
+        (0, false),
+        (3, true),
+        (3, false),
+        (3, false),
+        (5, true),
+        (5, true),
+        (5, true),
+        (5, false),
+    ]
+    .map(|(offset, broadcast)| Rotating { offset, broadcast })
+    .into()
 }
 
 fn hopper_protos(n: usize) -> Vec<Hopper> {
@@ -200,5 +240,33 @@ fn step_is_allocation_free_in_steady_state() {
             churned_net.step();
         },
         "churned, n = 64",
+    );
+
+    // Listener-only, lone-broadcaster and contended channels in every
+    // slot, on both single-hop media, with and without records.
+    let mixed_model = || StaticChannels::global(full_overlap(9, 8).unwrap());
+    let mut mixed_oracle =
+        Network::with_medium(mixed_model(), mixed_protos(), 18, OracleSingleHop::new()).unwrap();
+    assert_steady_state_alloc_free(
+        || {
+            mixed_oracle.step();
+        },
+        "mixed channels, oracle",
+    );
+    assert_steady_state_alloc_free(
+        || mixed_oracle.step_unrecorded(),
+        "mixed channels, oracle record-free",
+    );
+    let mut mixed_physical =
+        Network::with_medium(mixed_model(), mixed_protos(), 19, PhysicalDecay::new()).unwrap();
+    assert_steady_state_alloc_free(
+        || {
+            mixed_physical.step();
+        },
+        "mixed channels, physical",
+    );
+    assert_steady_state_alloc_free(
+        || mixed_physical.step_unrecorded(),
+        "mixed channels, physical record-free",
     );
 }
