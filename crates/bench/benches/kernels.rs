@@ -1,9 +1,8 @@
-//! Micro-benchmarks of the protocol kernels (engine throughput,
-//! per-slot protocol cost) — the ablation companion to the
-//! per-experiment benches.
+//! Micro-benchmarks of the engine and protocol kernels (engine
+//! throughput, per-slot protocol cost), recorded to
+//! `BENCH_engine.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
 use std::time::Instant;
 
 use crn_bench::effort::par_trials;
@@ -19,7 +18,6 @@ use crn_sim::{
     Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, OracleSingleHop, PhysicalDecay,
     Protocol, SimRng,
 };
-use rand::Rng;
 
 /// The (n, c) grid `BENCH_engine.json` covers.
 const ENGINE_GRID: [(usize, usize); 7] = [
@@ -375,45 +373,5 @@ fn write_engine_baseline(_: &mut Criterion) {
     println!("wrote {path}");
 }
 
-/// Channel-assignment generation cost across patterns.
-fn bench_assignment(cr: &mut Criterion) {
-    use crn_sim::assignment::OverlapPattern;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut g = cr.benchmark_group("assignment");
-    for pattern in OverlapPattern::ALL {
-        g.bench_function(pattern.name(), |b| {
-            let mut rng = StdRng::seed_from_u64(3);
-            b.iter(|| black_box(pattern.generate(128, 16, 4, &mut rng).unwrap().n()));
-        });
-    }
-    g.finish();
-}
-
-/// Matching sampling and game rounds for the lower-bound machinery.
-fn bench_games(cr: &mut Criterion) {
-    use crn_lowerbounds::{Edge, HittingGame};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    cr.bench_function("game_setup_and_64_proposals", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut game = HittingGame::new(64, 8, &mut rng);
-            for a in 0..8u32 {
-                for bb in 0..8u32 {
-                    black_box(game.propose(Edge::new(a, bb)));
-                }
-            }
-            black_box(game.rounds())
-        });
-    });
-}
-
-criterion_group! {
-    name = kernels;
-    config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = write_engine_baseline, bench_assignment, bench_games
-}
+criterion_group!(kernels, write_engine_baseline);
 criterion_main!(kernels);
