@@ -37,6 +37,9 @@
 #      WorkerPool, and the hidden no-op set_parallelism and ParConfig
 #      kept for it), so an API change that breaks it fails here rather
 #      than in a benchmark run
+#  14. the vendored proptest stand-in's own tests (vendor/proptest, its
+#      own workspace): its case generator is a private copy of
+#      crn_sim::rng's, and these tests cover its strategies
 #
 # Everything is offline: external dependencies resolve to the stubs
 # under vendor/ (see Cargo.toml [workspace.dependencies]).
@@ -95,5 +98,8 @@ cargo test --release -q --test stress -- --ignored
 
 echo "==> perfbench: build and transparency test"
 (cd perfbench && cargo test --release -q)
+
+echo "==> vendor/proptest: its own tests"
+cargo test -q --manifest-path vendor/proptest/Cargo.toml
 
 echo "ci.sh: all green"

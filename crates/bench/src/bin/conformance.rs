@@ -43,7 +43,6 @@ use crn_sim::{
     ChannelModel, FaultSchedule, Flaky, Jammed, Medium, Network, OracleMultihop, OracleSingleHop,
     PhysicalDecay, Protocol, SlotActivity, Topology,
 };
-use rand::Rng;
 use std::process::ExitCode;
 
 const ORACLE_BUDGET: u64 = 50_000_000;

@@ -132,7 +132,7 @@ fn time_report(effort: Effort, timings: &[(String, f64)], total_s: f64) -> Strin
     let host_cores = crn_sim::pool::default_workers();
     let revision = crn_bench::revision();
     format!(
-        "{{\n  \"bench\": \"experiments_end_to_end\",\n  \"command\": \"experiments all --quick --time-json BENCH_experiments.json\",\n  \"host_cores\": {host_cores},\n  \"revision\": \"{revision}\",\n  \"effort\": \"{effort:?}\",\n  \"scheduler\": \"work-stealing (atomic seed counter, seed-keyed slots)\",\n  \"rng\": \"SimRng (owned xoshiro256++, stream-preserving vs. prior StdRng)\",\n  \"total_s\": {total_s:.3},\n  \"per_experiment\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"experiments_end_to_end\",\n  \"command\": \"experiments all --quick --time-json BENCH_experiments.json\",\n  \"host_cores\": {host_cores},\n  \"revision\": \"{revision}\",\n  \"effort\": \"{effort:?}\",\n  \"scheduler\": \"work-stealing (atomic seed counter, seed-keyed slots)\",\n  \"rng\": \"SimRng (xoshiro256++)\",\n  \"total_s\": {total_s:.3},\n  \"per_experiment\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     )
 }

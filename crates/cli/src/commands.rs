@@ -14,10 +14,9 @@ use crn_rendezvous::pairwise::rendezvous_slots;
 use crn_sim::assignment::OverlapPattern;
 use crn_sim::channel_model::{DynamicSharedCore, StaticChannels};
 use crn_sim::medium::{recommended_rounds, resolve_contention};
-use crn_sim::rng::derive_rng;
+use crn_sim::rng::{derive_rng, SimRng};
 use crn_sim::{OracleMultihop, PhysicalDecay, Topology};
 use crn_stats::Summary;
-use rand::SeedableRng;
 use std::fmt::Write as _;
 
 const BUDGET: u64 = 100_000_000;
@@ -350,7 +349,7 @@ pub fn game(opts: &Opts) -> Result<String, String> {
     }
     let mut rounds = Vec::new();
     for t in 0..trials as u64 {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(t));
+        let mut rng = SimRng::seed_from_u64(seed.wrapping_add(t));
         let mut game = HittingGame::new(c, k, &mut rng);
         let won = match player_name.as_str() {
             "uniform" => {
@@ -379,14 +378,10 @@ pub fn game(opts: &Opts) -> Result<String, String> {
     Ok(out)
 }
 
-fn play_boxed(
-    game: &mut HittingGame,
-    player: &mut dyn Player,
-    rng: &mut rand::rngs::StdRng,
-) -> Option<u64> {
+fn play_boxed(game: &mut HittingGame, player: &mut dyn Player, rng: &mut SimRng) -> Option<u64> {
     struct DynPlayer<'a>(&'a mut dyn Player);
     impl Player for DynPlayer<'_> {
-        fn next_proposal(&mut self, rng: &mut rand::rngs::StdRng) -> crn_lowerbounds::Edge {
+        fn next_proposal(&mut self, rng: &mut SimRng) -> crn_lowerbounds::Edge {
             self.0.next_proposal(rng)
         }
     }
@@ -435,7 +430,7 @@ pub fn backoff(opts: &Opts) -> Result<String, String> {
     }
     let mut rounds = Vec::new();
     for t in 0..trials as u64 {
-        let mut rng = crn_sim::SimRng::seed_from_u64(seed.wrapping_add(t));
+        let mut rng = SimRng::seed_from_u64(seed.wrapping_add(t));
         let r = resolve_contention(m, n_max, recommended_rounds(n_max), &mut rng)
             .map_err(|e| e.to_string())?
             .ok_or("decay episode failed within the recommended budget")?;
@@ -472,7 +467,7 @@ pub fn monitor(opts: &Opts) -> Result<String, String> {
     let values: Vec<Vec<Max>> = (0..rounds)
         .map(|r| {
             (0..n)
-                .map(|_| Max(100 + 2 * r as u64 + rand::Rng::gen_range(&mut vrng, 0u64..20)))
+                .map(|_| Max(100 + 2 * r as u64 + vrng.gen_range(0u64..20)))
                 .collect()
         })
         .collect();

@@ -14,7 +14,6 @@
 use crate::bounds;
 use crn_sim::rng::SimRng;
 use crn_sim::{Action, Event, LocalChannel, NodeCtx, NodeId, Protocol};
-use rand::Rng;
 
 /// How a node was first informed: by whom, in which slot, and on which
 /// of its local channels. This triple identifies the node's position in

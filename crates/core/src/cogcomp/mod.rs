@@ -420,7 +420,6 @@ mod tests {
     use crn_sim::assignment::{full_overlap, shared_core, OverlapPattern};
     use crn_sim::channel_model::StaticChannels;
     use crn_sim::rng::SimRng;
-    use rand::SeedableRng;
 
     fn sum_run(n: usize, c: usize, k: usize, seed: u64) -> AggregationRun<Sum> {
         let model = StaticChannels::local(shared_core(n, c, k).unwrap(), seed);

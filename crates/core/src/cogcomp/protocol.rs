@@ -24,7 +24,6 @@ use crate::aggregate::Aggregate;
 use crate::cogcast::{Informed, SlotRecord};
 use crn_sim::rng::SimRng;
 use crn_sim::{Action, Event, LocalChannel, NodeCtx, NodeId, Protocol};
-use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Phase-one records reserved up front: the whole phase for any

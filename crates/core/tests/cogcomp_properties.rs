@@ -8,9 +8,8 @@ use crn_core::bounds;
 use crn_core::cogcomp::{run_aggregation, run_aggregation_cfg, CogCompConfig, Coordination};
 use crn_sim::assignment::OverlapPattern;
 use crn_sim::channel_model::StaticChannels;
+use crn_sim::rng::SimRng;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn pattern_strategy() -> impl Strategy<Value = OverlapPattern> {
     proptest::sample::select(OverlapPattern::ALL.to_vec())
@@ -27,7 +26,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let k = 1 + k_off % c;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5A5A);
+        let mut rng = SimRng::seed_from_u64(seed ^ 0x5A5A);
         let assignment = pattern.generate(n, c, k, &mut rng).expect("valid shape");
         let model = StaticChannels::local(assignment, seed);
         let values: Vec<Collect> = (0..n as u64).map(Collect::of).collect();

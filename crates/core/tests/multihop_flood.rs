@@ -8,7 +8,6 @@ use crn_sim::assignment::shared_core;
 use crn_sim::channel_model::StaticChannels;
 use crn_sim::rng::SimRng;
 use crn_sim::{OracleMultihop, Topology};
-use rand::SeedableRng;
 
 fn flood(topo: Topology, c: usize, k: usize, seed: u64, budget: u64) -> BroadcastRun {
     let n = topo.len();

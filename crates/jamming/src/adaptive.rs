@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn jams_only_listeners_on_target_channels() {
         let mut j = SilencerJammer::new(2);
-        let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(0);
+        let mut rng = SimRng::seed_from_u64(0);
         j.advance(0, &mut rng);
         j.observe_intents(
             0,
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn budget_caps_targets() {
         let mut j = SilencerJammer::new(1);
-        let mut rng = <SimRng as rand::SeedableRng>::seed_from_u64(0);
+        let mut rng = SimRng::seed_from_u64(0);
         j.advance(0, &mut rng);
         j.observe_intents(
             0,

@@ -13,7 +13,6 @@
 
 use crn_sim::rng::SimRng;
 use crn_sim::{GlobalChannel, Interference, NodeId};
-use rand::seq::index::sample;
 
 /// The jammer strategies swept by experiment F9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,7 +101,7 @@ impl Interference for UniformJammer {
             }
             match self.strategy {
                 JammerStrategy::Random => {
-                    for i in sample(rng, self.c, self.k) {
+                    for i in rng.sample_indices(self.c, self.k) {
                         mask[i] = true;
                     }
                 }
@@ -137,7 +136,6 @@ impl Interference for UniformJammer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     fn advanced(strategy: JammerStrategy, slot: u64) -> UniformJammer {
         let mut j = UniformJammer::new(4, 8, 3, strategy);

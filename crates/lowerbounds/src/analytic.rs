@@ -88,14 +88,13 @@ mod tests {
     use super::*;
     use crate::game::{Edge, HittingGame, Matching};
     use crate::players::{play, survival_curve, FreshPlayer, UniformPlayer};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crn_sim::rng::SimRng;
 
     #[test]
     fn single_hit_probability_matches_simulation() {
         let (c, k) = (6usize, 2usize);
         let trials = 40_000;
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SimRng::seed_from_u64(5);
         let hits = (0..trials)
             .filter(|_| Matching::sample(c, k, &mut rng).contains(Edge::new(0, 0)))
             .count();
@@ -154,7 +153,7 @@ mod tests {
         let trials = 800u64;
         let mut total = 0u64;
         for seed in 0..trials {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let mut game = HittingGame::complete(c, &mut rng);
             let mut player = FreshPlayer::new(c);
             total += play(&mut game, &mut player, (c * c) as u64, &mut rng)

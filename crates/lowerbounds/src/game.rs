@@ -8,7 +8,7 @@
 //! `α = 2(β/(β−1))²`); the `c`-complete variant (`k = c`, a perfect
 //! matching) needs `≥ c/3` rounds (Lemma 14).
 
-use rand::Rng;
+use crn_sim::rng::SimRng;
 
 /// An edge `(a_i, b_j)` of the complete bipartite graph, as a pair of
 /// side indices in `0..c`.
@@ -42,7 +42,7 @@ impl Matching {
     /// # Panics
     ///
     /// Panics if `k > c`.
-    pub fn sample(c: usize, k: usize, rng: &mut impl Rng) -> Self {
+    pub fn sample(c: usize, k: usize, rng: &mut SimRng) -> Self {
         assert!(k <= c, "matching size k = {k} exceeds side size c = {c}");
         let mut free_a: Vec<u32> = (0..c as u32).collect();
         let mut free_b: Vec<u32> = (0..c as u32).collect();
@@ -98,8 +98,8 @@ impl Matching {
 ///
 /// ```
 /// use crn_lowerbounds::game::{Edge, HittingGame};
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// use crn_sim::rng::SimRng;
+/// let mut rng = SimRng::seed_from_u64(1);
 /// let mut game = HittingGame::new(4, 2, &mut rng);
 /// let won = game.propose(Edge::new(0, 0));
 /// assert_eq!(game.rounds(), 1);
@@ -120,7 +120,7 @@ impl HittingGame {
     /// # Panics
     ///
     /// Panics if `k > c` or `c == 0`.
-    pub fn new(c: usize, k: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(c: usize, k: usize, rng: &mut SimRng) -> Self {
         assert!(c >= 1, "c must be at least 1");
         HittingGame {
             c,
@@ -132,7 +132,7 @@ impl HittingGame {
 
     /// Starts the `c`-complete bipartite hitting game (`k = c`; the
     /// hidden matching is a uniform perfect matching).
-    pub fn complete(c: usize, rng: &mut impl Rng) -> Self {
+    pub fn complete(c: usize, rng: &mut SimRng) -> Self {
         Self::new(c, c, rng)
     }
 
@@ -183,12 +183,10 @@ impl HittingGame {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn sampled_matching_is_valid() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = SimRng::seed_from_u64(0);
         for c in [1usize, 2, 5, 16] {
             for k in 1..=c {
                 let m = Matching::sample(c, k, &mut rng);
@@ -200,7 +198,7 @@ mod tests {
 
     #[test]
     fn complete_game_is_perfect_matching() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SimRng::seed_from_u64(3);
         let g = HittingGame::complete(8, &mut rng);
         assert_eq!(g.reveal().len(), 8);
         assert!(g.reveal().is_valid(8));
@@ -208,7 +206,7 @@ mod tests {
 
     #[test]
     fn winning_proposal_detected() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SimRng::seed_from_u64(5);
         let mut g = HittingGame::new(4, 2, &mut rng);
         let e = g.reveal().edges()[0];
         assert!(g.propose(e));
@@ -218,7 +216,7 @@ mod tests {
 
     #[test]
     fn losing_proposals_counted() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SimRng::seed_from_u64(5);
         let mut g = HittingGame::new(4, 1, &mut rng);
         let hidden = g.reveal().edges()[0];
         let mut misses = 0;
@@ -237,7 +235,7 @@ mod tests {
 
     #[test]
     fn proposals_after_win_do_not_rewin() {
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = SimRng::seed_from_u64(9);
         let mut g = HittingGame::new(3, 3, &mut rng);
         let e = g.reveal().edges()[0];
         assert!(g.propose(e));
@@ -247,7 +245,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SimRng::seed_from_u64(1);
         let mut g = HittingGame::new(2, 1, &mut rng);
         g.propose(Edge::new(5, 0));
     }
@@ -257,7 +255,7 @@ mod tests {
         // Each a-vertex should appear in the k-matching with probability
         // k/c; check frequencies over many samples.
         let (c, k, trials) = (6usize, 2usize, 6000usize);
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = SimRng::seed_from_u64(42);
         let mut counts = vec![0usize; c];
         for _ in 0..trials {
             for e in Matching::sample(c, k, &mut rng).edges() {
@@ -277,7 +275,7 @@ mod tests {
         #[test]
         fn prop_matchings_valid(c in 1usize..24, k_off in 0usize..24, seed in 0u64..500) {
             let k = 1 + k_off % c;
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let m = Matching::sample(c, k, &mut rng);
             prop_assert!(m.is_valid(c));
             prop_assert_eq!(m.len(), k);

@@ -12,10 +12,7 @@
 //! This module samples that first-overlap time for several source
 //! strategies, letting the harness exhibit the floor empirically.
 
-use rand::rngs::StdRng;
-use rand::seq::index::sample;
-use rand::Rng;
-use rand::SeedableRng;
+use crn_sim::rng::SimRng;
 
 /// The channel-selection strategies the experiment sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,7 +43,7 @@ impl SourceStrategy {
         }
     }
 
-    fn pick(self, slot: u64, c: usize, rng: &mut StdRng) -> usize {
+    fn pick(self, slot: u64, c: usize, rng: &mut SimRng) -> usize {
         match self {
             SourceStrategy::Uniform => rng.gen_range(0..c),
             SourceStrategy::Scan => (slot % c as u64) as usize,
@@ -82,11 +79,11 @@ pub fn first_overlap_slots(
     assert!(c >= 1 && k >= 1 && k <= c, "need 1 <= k <= c");
     (0..trials)
         .map(|t| {
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64));
+            let mut rng = SimRng::seed_from_u64(seed.wrapping_add(t as u64));
             // The k overlap channels sit at a uniform k-subset of the
             // source's c channel positions.
             let mut core = vec![false; c];
-            for i in sample(&mut rng, c, k) {
+            for i in rng.sample_indices(c, k) {
                 core[i] = true;
             }
             (0..budget)

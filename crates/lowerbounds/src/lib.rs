@@ -17,9 +17,9 @@
 //! ```
 //! use crn_lowerbounds::game::HittingGame;
 //! use crn_lowerbounds::players::{play, UniformPlayer};
-//! use rand::SeedableRng;
+//! use crn_sim::rng::SimRng;
 //!
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+//! let mut rng = SimRng::seed_from_u64(5);
 //! let mut game = HittingGame::new(6, 2, &mut rng);
 //! let mut player = UniformPlayer::new(6);
 //! let round = play(&mut game, &mut player, 100_000, &mut rng);

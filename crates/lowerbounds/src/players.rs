@@ -6,14 +6,12 @@
 //! player that Lemma 12 constructs out of a broadcast algorithm.
 
 use crate::game::{Edge, HittingGame};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::Rng;
+use crn_sim::rng::SimRng;
 
 /// A hitting-game player: a (possibly randomized) proposal stream.
 pub trait Player {
     /// Produces the next proposal.
-    fn next_proposal(&mut self, rng: &mut StdRng) -> Edge;
+    fn next_proposal(&mut self, rng: &mut SimRng) -> Edge;
 }
 
 /// Proposes a uniformly random edge every round (with repetition).
@@ -30,7 +28,7 @@ impl UniformPlayer {
 }
 
 impl Player for UniformPlayer {
-    fn next_proposal(&mut self, rng: &mut StdRng) -> Edge {
+    fn next_proposal(&mut self, rng: &mut SimRng) -> Edge {
         Edge::new(rng.gen_range(0..self.c), rng.gen_range(0..self.c))
     }
 }
@@ -64,9 +62,9 @@ impl FreshPlayer {
 }
 
 impl Player for FreshPlayer {
-    fn next_proposal(&mut self, rng: &mut StdRng) -> Edge {
+    fn next_proposal(&mut self, rng: &mut SimRng) -> Edge {
         if !self.shuffled {
-            self.queue.shuffle(rng);
+            rng.shuffle(&mut self.queue);
             self.shuffled = true;
         }
         let e = self.queue[self.at % self.queue.len()];
@@ -83,9 +81,9 @@ impl Player for FreshPlayer {
 /// ```
 /// use crn_lowerbounds::game::HittingGame;
 /// use crn_lowerbounds::players::{play, FreshPlayer};
-/// use rand::SeedableRng;
+/// use crn_sim::rng::SimRng;
 ///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+/// let mut rng = SimRng::seed_from_u64(7);
 /// let mut game = HittingGame::new(4, 2, &mut rng);
 /// let mut player = FreshPlayer::new(4);
 /// let won_at = play(&mut game, &mut player, 1_000, &mut rng);
@@ -95,7 +93,7 @@ pub fn play(
     game: &mut HittingGame,
     player: &mut impl Player,
     max_rounds: u64,
-    rng: &mut StdRng,
+    rng: &mut SimRng,
 ) -> Option<u64> {
     (1..=max_rounds).find(|_| game.propose(player.next_proposal(rng)))
 }
@@ -113,10 +111,9 @@ pub fn survival_curve<P: Player>(
     seed: u64,
     mut make_player: impl FnMut(usize) -> P,
 ) -> Vec<f64> {
-    use rand::SeedableRng;
     let mut wins_at = vec![0usize; max_rounds as usize + 1];
     for t in 0..trials {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64));
+        let mut rng = SimRng::seed_from_u64(seed.wrapping_add(t as u64));
         let mut game = HittingGame::new(c, k, &mut rng);
         let mut player = make_player(c);
         if let Some(r) = play(&mut game, &mut player, max_rounds, &mut rng) {
@@ -137,11 +134,10 @@ pub fn survival_curve<P: Player>(
 mod tests {
     use super::*;
     use crn_core::bounds::hitting_game_floor;
-    use rand::SeedableRng;
 
     #[test]
     fn uniform_player_stays_in_range() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = SimRng::seed_from_u64(0);
         let mut p = UniformPlayer::new(5);
         for _ in 0..100 {
             let e = p.next_proposal(&mut rng);
@@ -151,7 +147,7 @@ mod tests {
 
     #[test]
     fn fresh_player_never_repeats_within_c_squared() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SimRng::seed_from_u64(1);
         let mut p = FreshPlayer::new(6);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..36 {
@@ -162,7 +158,7 @@ mod tests {
     #[test]
     fn fresh_player_always_wins_within_c_squared() {
         for seed in 0..20 {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let mut game = HittingGame::new(5, 2, &mut rng);
             let mut p = FreshPlayer::new(5);
             let r = play(&mut game, &mut p, 25, &mut rng);

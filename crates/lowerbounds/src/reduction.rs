@@ -12,8 +12,7 @@
 //! this transfers the game bound to local broadcast (Theorem 15).
 
 use crate::game::{Edge, HittingGame};
-use rand::rngs::StdRng;
-use rand::Rng;
+use crn_sim::rng::SimRng;
 use std::collections::HashSet;
 
 /// The result of driving a broadcast algorithm through the reduction.
@@ -43,8 +42,8 @@ pub struct ReductionOutcome {
 ///
 /// ```
 /// use crn_lowerbounds::reduction::run_reduction_cogcast;
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+/// use crn_sim::rng::SimRng;
+/// let mut rng = SimRng::seed_from_u64(2);
 /// let out = run_reduction_cogcast(8, 2, 16, 100_000, &mut rng);
 /// assert!(out.won);
 /// ```
@@ -52,9 +51,9 @@ pub fn run_reduction(
     c: usize,
     k: usize,
     n: usize,
-    mut choose: impl FnMut(u64, usize, &mut StdRng) -> u32,
+    mut choose: impl FnMut(u64, usize, &mut SimRng) -> u32,
     max_slots: u64,
-    rng: &mut StdRng,
+    rng: &mut SimRng,
 ) -> ReductionOutcome {
     let mut game = HittingGame::new(c, k, rng);
     let mut proposed: HashSet<Edge> = HashSet::new();
@@ -93,7 +92,7 @@ pub fn run_reduction_cogcast(
     k: usize,
     n: usize,
     max_slots: u64,
-    rng: &mut StdRng,
+    rng: &mut SimRng,
 ) -> ReductionOutcome {
     run_reduction(
         c,
@@ -108,12 +107,11 @@ pub fn run_reduction_cogcast(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn cogcast_reduction_wins() {
         for seed in 0..10 {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let out = run_reduction_cogcast(6, 2, 8, 1_000_000, &mut rng);
             assert!(out.won, "seed {seed}");
             assert!(out.game_rounds >= 1);
@@ -126,7 +124,7 @@ mod tests {
         // The reduction's key accounting: at most min{c, n} *unique*
         // proposals per simulated slot.
         let (c, k, n) = (4usize, 1usize, 20usize);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SimRng::seed_from_u64(3);
         let out = run_reduction_cogcast(c, k, n, 50, &mut rng);
         let bound = out.sim_slots * c.min(n) as u64;
         assert!(
@@ -145,7 +143,7 @@ mod tests {
         let (c, k, n) = (8usize, 1usize, 4usize);
         let mut wins = 0;
         for seed in 0..300 {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let out = run_reduction(c, k, n, |_, _, _| 0, 1_000, &mut rng);
             wins += out.won as usize;
             assert!(out.game_rounds <= 1, "only one unique proposal exists");
@@ -162,7 +160,7 @@ mod tests {
         let trials = 60;
         let mut rounds: Vec<u64> = (0..trials)
             .map(|seed| {
-                let mut rng = StdRng::seed_from_u64(seed);
+                let mut rng = SimRng::seed_from_u64(seed);
                 let out = run_reduction_cogcast(c, k, n, 1_000_000, &mut rng);
                 assert!(out.won);
                 out.game_rounds
@@ -180,7 +178,7 @@ mod tests {
     #[test]
     #[should_panic(expected = ">= c")]
     fn out_of_range_choice_panics() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = SimRng::seed_from_u64(0);
         run_reduction(2, 1, 2, |_, _, _| 9, 10, &mut rng);
     }
 }

@@ -22,7 +22,6 @@ use crn_sim::{
     Action, ChannelModel, Event, GlobalChannel, LocalChannel, Network, NodeCtx, OracleSingleHop,
     Protocol, SimError,
 };
-use rand::Rng;
 
 /// Messages of the acquaintance handshake.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -23,7 +23,6 @@ use crn_sim::{
     Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, NodeId, OracleSingleHop, Protocol,
     SimError,
 };
-use rand::Rng;
 use std::collections::BTreeSet;
 
 /// A node of the rendezvous-aggregation baseline.

@@ -14,7 +14,6 @@ use crn_sim::{
     Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, OracleSingleHop, Protocol,
     SimError,
 };
-use rand::Rng;
 
 /// A node of the rendezvous-broadcast baseline.
 #[derive(Debug, Clone)]

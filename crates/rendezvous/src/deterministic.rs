@@ -244,7 +244,6 @@ mod tests {
     use super::*;
     use crn_sim::assignment::{full_overlap, random_with_core, shared_core};
     use crn_sim::channel_model::StaticChannels;
-    use rand::SeedableRng;
 
     #[test]
     fn prime_helper_correct() {

@@ -12,7 +12,6 @@ use crn_sim::{
     Action, ChannelModel, Event, LocalChannel, Network, NodeCtx, OracleSingleHop, Protocol,
     SimError,
 };
-use rand::Rng;
 
 /// A node running uniform random channel hopping. Node 0 beacons; node 1
 /// listens; the pair has met once node 1 receives the beacon.

@@ -20,8 +20,7 @@
 
 use crate::error::SimError;
 use crate::ids::GlobalChannel;
-use rand::seq::SliceRandom;
-use rand::Rng;
+use crate::rng::SimRng;
 
 /// A static assignment of channel sets to nodes.
 ///
@@ -245,16 +244,16 @@ impl ChannelAssignment {
     ///
     /// ```
     /// use crn_sim::assignment::shared_core;
-    /// use rand::SeedableRng;
-    /// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    /// use crn_sim::rng::SimRng;
+    /// let mut rng = SimRng::seed_from_u64(5);
     /// let a = shared_core(4, 6, 2)?.permute_globals(&mut rng);
     /// assert!(a.min_pairwise_overlap() >= 2);
     /// # Ok::<(), crn_sim::SimError>(())
     /// ```
     #[must_use]
-    pub fn permute_globals(mut self, rng: &mut impl Rng) -> Self {
+    pub fn permute_globals(mut self, rng: &mut SimRng) -> Self {
         let mut perm: Vec<u32> = (0..self.total as u32).collect();
-        perm.shuffle(rng);
+        rng.shuffle(&mut perm);
         for set in &mut self.sets {
             for g in set.iter_mut() {
                 *g = GlobalChannel(perm[g.index()]);
@@ -416,8 +415,8 @@ pub fn shared_core(n: usize, c: usize, k: usize) -> Result<ChannelAssignment, Si
 ///
 /// ```
 /// use crn_sim::assignment::random_with_core;
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// use crn_sim::rng::SimRng;
+/// let mut rng = SimRng::seed_from_u64(1);
 /// let a = random_with_core(10, 8, 3, 100, &mut rng).unwrap();
 /// assert!(a.min_pairwise_overlap() >= 3);
 /// assert_eq!(a.total_channels(), 103);
@@ -427,7 +426,7 @@ pub fn random_with_core(
     c: usize,
     k: usize,
     pool: usize,
-    rng: &mut impl Rng,
+    rng: &mut SimRng,
 ) -> Result<ChannelAssignment, SimError> {
     check_basic(n, c, k)?;
     let private = c - k;
@@ -441,7 +440,7 @@ pub fn random_with_core(
     let sets = (0..n)
         .map(|_| {
             let mut s: Vec<GlobalChannel> = (0..k as u32).map(GlobalChannel).collect();
-            let picks = pool_ids.choose_multiple(rng, private);
+            let picks = rng.choose_multiple(&pool_ids, private);
             s.extend(picks.map(|&g| GlobalChannel(g)));
             s
         })
@@ -466,8 +465,8 @@ pub fn random_with_core(
 ///
 /// ```
 /// use crn_sim::assignment::ragged_with_core;
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+/// use crn_sim::rng::SimRng;
+/// let mut rng = SimRng::seed_from_u64(4);
 /// let a = ragged_with_core(&[3, 6, 9], 2, 40, &mut rng)?;
 /// assert_eq!(a.c_of(0), 3);
 /// assert_eq!(a.c_of(2), 9);
@@ -480,7 +479,7 @@ pub fn ragged_with_core(
     cs: &[usize],
     k: usize,
     pool: usize,
-    rng: &mut impl Rng,
+    rng: &mut SimRng,
 ) -> Result<ChannelAssignment, SimError> {
     if cs.is_empty() {
         return Err(SimError::InvalidParams {
@@ -505,8 +504,7 @@ pub fn ragged_with_core(
         .map(|&c| {
             let mut s: Vec<GlobalChannel> = (0..k as u32).map(GlobalChannel).collect();
             s.extend(
-                pool_ids
-                    .choose_multiple(rng, c - k)
+                rng.choose_multiple(&pool_ids, c - k)
                     .map(|&g| GlobalChannel(g)),
             );
             s
@@ -531,8 +529,8 @@ pub fn ragged_with_core(
 ///
 /// ```
 /// use crn_sim::assignment::clustered;
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+/// use crn_sim::rng::SimRng;
+/// let mut rng = SimRng::seed_from_u64(2);
 /// let a = clustered(12, 6, 2, 3, 8, &mut rng).unwrap();
 /// assert!(a.min_pairwise_overlap() >= 2);
 /// ```
@@ -542,7 +540,7 @@ pub fn clustered(
     k: usize,
     groups: usize,
     group_pool: usize,
-    rng: &mut impl Rng,
+    rng: &mut SimRng,
 ) -> Result<ChannelAssignment, SimError> {
     check_basic(n, c, k)?;
     if groups == 0 {
@@ -564,8 +562,7 @@ pub fn clustered(
             let pool_ids: Vec<u32> = (base..base + group_pool as u32).collect();
             let mut s: Vec<GlobalChannel> = (0..k as u32).map(GlobalChannel).collect();
             s.extend(
-                pool_ids
-                    .choose_multiple(rng, private)
+                rng.choose_multiple(&pool_ids, private)
                     .map(|&x| GlobalChannel(x)),
             );
             s
@@ -623,7 +620,7 @@ impl OverlapPattern {
         n: usize,
         c: usize,
         k: usize,
-        rng: &mut impl Rng,
+        rng: &mut SimRng,
     ) -> Result<ChannelAssignment, SimError> {
         match self {
             OverlapPattern::FullOverlap => full_overlap(n, c),
@@ -641,8 +638,6 @@ impl OverlapPattern {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn full_overlap_basics() {
@@ -681,7 +676,7 @@ mod tests {
 
     #[test]
     fn random_with_core_respects_overlap() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SimRng::seed_from_u64(7);
         for pool in [4usize, 10, 100] {
             let a = random_with_core(8, 6, 3, pool.max(3), &mut rng).unwrap();
             assert!(a.min_pairwise_overlap() >= 3, "pool {pool}");
@@ -691,14 +686,14 @@ mod tests {
 
     #[test]
     fn random_with_core_pool_too_small() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SimRng::seed_from_u64(7);
         let err = random_with_core(3, 6, 2, 3, &mut rng).unwrap_err();
         assert!(matches!(err, SimError::InvalidParams { .. }));
     }
 
     #[test]
     fn clustered_within_group_overlap_exceeds_core() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SimRng::seed_from_u64(3);
         // 2 groups, small group pool: group-mates share many channels.
         let a = clustered(8, 8, 2, 2, 7, &mut rng).unwrap();
         assert!(a.validate().is_ok());
@@ -749,7 +744,7 @@ mod tests {
 
     #[test]
     fn ragged_assignments_expose_per_node_counts() {
-        let mut rng = StdRng::seed_from_u64(15);
+        let mut rng = SimRng::seed_from_u64(15);
         let a = ragged_with_core(&[2, 4, 8], 2, 30, &mut rng).unwrap();
         assert_eq!(a.n(), 3);
         assert_eq!(a.c(), 8);
@@ -769,7 +764,7 @@ mod tests {
 
     #[test]
     fn ragged_rejects_bad_params() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = SimRng::seed_from_u64(0);
         assert!(ragged_with_core(&[], 1, 5, &mut rng).is_err());
         assert!(
             ragged_with_core(&[3, 1], 2, 5, &mut rng).is_err(),
@@ -799,7 +794,7 @@ mod tests {
 
     #[test]
     fn permute_globals_preserves_overlaps() {
-        let mut rng = StdRng::seed_from_u64(21);
+        let mut rng = SimRng::seed_from_u64(21);
         let a = shared_core(5, 6, 2).unwrap();
         let overlaps: Vec<usize> = (0..5)
             .flat_map(|i| ((i + 1)..5).map(move |j| (i, j)))
@@ -819,7 +814,7 @@ mod tests {
 
     #[test]
     fn overlap_is_symmetric() {
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = SimRng::seed_from_u64(11);
         let a = random_with_core(6, 5, 2, 20, &mut rng).unwrap();
         for i in 0..6 {
             for j in 0..6 {
@@ -830,7 +825,7 @@ mod tests {
 
     #[test]
     fn all_patterns_generate_valid_assignments() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SimRng::seed_from_u64(5);
         for p in OverlapPattern::ALL {
             let a = p.generate(10, 6, 3, &mut rng).unwrap();
             assert!(
@@ -870,7 +865,7 @@ mod tests {
             let k = 1 + k_off % c;
             let pool = (c - k) + pool_extra;
             if pool == 0 { return Ok(()); }
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let a = random_with_core(n, c, k, pool, &mut rng).unwrap();
             prop_assert!(a.validate().is_ok());
             // each set is sorted and deduplicated
@@ -895,14 +890,14 @@ mod tests {
             break_core in 0usize..2,
             seed in 0u64..10_000,
         ) {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let total = core + extra;
             let fixed = rng.gen_range(1..=extra);
             let mut sets: Vec<Vec<GlobalChannel>> = (0..n)
                 .map(|_| {
                     let size = if ragged == 1 { rng.gen_range(1..=extra) } else { fixed };
                     let mut private: Vec<u32> = (core as u32..total as u32).collect();
-                    private.shuffle(&mut rng);
+                    rng.shuffle(&mut private);
                     (0..core as u32)
                         .chain(private.into_iter().take(size))
                         .map(GlobalChannel)
@@ -926,7 +921,7 @@ mod tests {
 
         #[test]
         fn prop_overlap_never_exceeds_c(n in 2usize..10, c in 1usize..8, seed in 0u64..100) {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let a = random_with_core(n, c, 1, c * 3, &mut rng).unwrap();
             for i in 0..n {
                 for j in (i+1)..n {

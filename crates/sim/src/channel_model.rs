@@ -11,8 +11,6 @@ use crate::error::SimError;
 use crate::ids::GlobalChannel;
 use crate::rng::SimRng;
 use crate::rng::{derive_rng, streams};
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// The per-slot channel availability model the engine runs against.
 ///
@@ -96,7 +94,7 @@ impl StaticChannels {
     /// assumption under which the paper's upper bounds are proved.
     pub fn local(assignment: ChannelAssignment, seed: u64) -> Self {
         let mut rng = derive_rng(seed, streams::LABELS);
-        Self::build(assignment, false, |slice| slice.shuffle(&mut rng))
+        Self::build(assignment, false, |slice| rng.shuffle(slice))
     }
 
     /// Copies every node's sorted set into one table, then hands each
@@ -261,7 +259,7 @@ impl DynamicSharedCore {
             self.pool_ids.swap(i, j);
             *g = GlobalChannel(self.pool_ids[i]);
         }
-        slice.shuffle(&mut self.rng);
+        self.rng.shuffle(slice);
     }
 }
 
@@ -395,11 +393,10 @@ mod tests {
             let redraw = |rng: &mut SimRng| {
                 let mut v: Vec<GlobalChannel> = (0..k as u32).map(GlobalChannel).collect();
                 v.extend(
-                    pool_ids
-                        .choose_multiple(rng, c - k)
+                    rng.choose_multiple(&pool_ids, c - k)
                         .map(|&g| GlobalChannel(g)),
                 );
-                v.shuffle(rng);
+                rng.shuffle(&mut v);
                 v
             };
             let mut expected: Vec<GlobalChannel> = (0..n).flat_map(|_| redraw(&mut rng)).collect();

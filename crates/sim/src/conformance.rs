@@ -45,7 +45,6 @@ use crate::interference::Interference;
 use crate::medium::MediumProfile;
 use crate::rng::{derive_rng, streams};
 use crate::trace::SlotActivity;
-use rand::Rng;
 use std::fmt;
 
 /// Which contract clause a [`Violation`] breaks.

@@ -10,7 +10,6 @@
 
 use crate::proto::{Action, Event, NodeCtx, Protocol};
 use crate::rng::SimRng;
-use rand::Rng;
 
 /// When a node is down.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +46,6 @@ impl FaultSchedule {
     ///
     /// ```
     /// use crn_sim::faults::FaultSchedule;
-    /// use rand::SeedableRng;
     /// let mut rng = crn_sim::rng::SimRng::seed_from_u64(0);
     /// let w = FaultSchedule::Window { from: 5, to: 8 };
     /// assert!(!w.is_down(4, &mut rng));
@@ -139,7 +137,6 @@ impl<M, P: Protocol<M>> Protocol<M> for Flaky<P> {
 mod tests {
     use super::*;
     use crate::ids::LocalChannel;
-    use rand::SeedableRng;
 
     /// Inner protocol that records how often it was consulted.
     #[derive(Debug, Default)]

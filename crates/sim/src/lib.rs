@@ -25,7 +25,6 @@
 //! use crn_sim::channel_model::StaticChannels;
 //! use crn_sim::{Action, Event, LocalChannel, Network, NodeCtx, OracleSingleHop, Protocol};
 //! use crn_sim::rng::SimRng;
-//! use rand::Rng;
 //!
 //! /// Every node hops uniformly; node 0 transmits, others listen.
 //! struct Hop {

@@ -47,7 +47,6 @@ use crate::proto::{Action, Event};
 use crate::rng::{derive_rng, streams, SimRng};
 use crate::topology::Topology;
 use crate::trace::{ChannelActivity, SlotActivity};
-use rand::{Rng, SeedableRng};
 
 /// Static facts about a medium that the conformance layer needs in
 /// order to know which Section 2 clauses apply.
@@ -787,7 +786,6 @@ pub fn recommended_rounds(n_max: usize) -> u64 {
 /// ```
 /// use crn_sim::medium::{decay_episode, epoch_len, recommended_rounds};
 /// use crn_sim::SimRng;
-/// use rand::SeedableRng;
 ///
 /// let mut rng = SimRng::seed_from_u64(5);
 /// // A lone contender transmits with probability 1 in round 0.
@@ -843,7 +841,6 @@ pub struct ContentionResult {
 /// ```
 /// use crn_sim::medium::resolve_contention;
 /// use crn_sim::SimRng;
-/// use rand::SeedableRng;
 /// let mut rng = SimRng::seed_from_u64(1);
 /// let r = resolve_contention(5, 16, 10_000, &mut rng)?.unwrap();
 /// assert!(r.winner < 5);
@@ -1055,10 +1052,10 @@ mod tests {
     #[test]
     fn lone_broadcaster_draws_are_one_next_u64() {
         // `SingleHop::resolve` skips each lone broadcaster's draw as
-        // exactly one `next_u64`. That holds only while the `rand`
-        // stand-in under `vendor/rand` samples `gen_range(0..1)` and
-        // `gen_bool(1.0)` with one raw draw each; an edit there could
-        // otherwise shift every ENGINE and PHYSICAL stream unnoticed.
+        // exactly one `next_u64`. That holds only while `SimRng`
+        // samples `gen_range(0..1)` and `gen_bool(1.0)` with one raw
+        // draw each; an edit to `crate::rng` could otherwise shift every
+        // ENGINE and PHYSICAL stream unnoticed.
         for seed in 0..32 {
             let fresh = derive_rng(seed, streams::ENGINE);
             let mut once = fresh.clone();
@@ -1131,7 +1128,6 @@ mod tests {
     /// `sleepers` sleepers, shuffled over the node ids and capped at 64
     /// nodes. Node `i` broadcasts message `i`.
     fn random_slot(rng: &mut SimRng, channels: u32, sleepers: usize) -> Vec<Action<u8>> {
-        use rand::seq::SliceRandom;
         let mut roles = vec![None; sleepers];
         for ch in 0..channels {
             let (broadcasters, listeners) = match rng.gen_range(0..4) {
@@ -1143,7 +1139,7 @@ mod tests {
             roles.extend((0..broadcasters).map(|_| Some((ch, true))));
             roles.extend((0..listeners).map(|_| Some((ch, false))));
         }
-        roles.shuffle(rng);
+        rng.shuffle(&mut roles);
         roles.truncate(64);
         let action = |(i, role)| match role {
             None => Action::Sleep,

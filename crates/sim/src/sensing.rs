@@ -19,8 +19,7 @@
 use crate::assignment::ChannelAssignment;
 use crate::error::SimError;
 use crate::ids::GlobalChannel;
-use rand::seq::SliceRandom;
-use rand::Rng;
+use crate::rng::SimRng;
 
 /// Parameters of the synthetic spectrum environment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,8 +80,8 @@ pub struct SensingReport {
 ///
 /// ```
 /// use crn_sim::sensing::{sense_assignment, SpectrumConfig};
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// use crn_sim::rng::SimRng;
+/// let mut rng = SimRng::seed_from_u64(1);
 /// let (a, report) = sense_assignment(8, 6, 2, SpectrumConfig::tv_white_space(), &mut rng)?;
 /// assert_eq!(a.n(), 8);
 /// assert!(a.min_pairwise_overlap() >= 2);
@@ -94,7 +93,7 @@ pub fn sense_assignment(
     c: usize,
     k: usize,
     cfg: SpectrumConfig,
-    rng: &mut impl Rng,
+    rng: &mut SimRng,
 ) -> Result<(ChannelAssignment, SensingReport), SimError> {
     if n == 0 || c == 0 || k == 0 || k > c {
         return Err(SimError::InvalidParams {
@@ -119,7 +118,7 @@ pub fn sense_assignment(
 
     // Anchors: k database-backed, guaranteed-free bands.
     let mut band_ids: Vec<u32> = (0..cfg.bands as u32).collect();
-    band_ids.shuffle(rng);
+    rng.shuffle(&mut band_ids);
     let anchors: Vec<GlobalChannel> = band_ids[..k].iter().map(|&b| GlobalChannel(b)).collect();
 
     // Ground truth: primaries occupy non-anchor bands.
@@ -147,8 +146,8 @@ pub fn sense_assignment(
                 sensed_free.push(b);
             }
         }
-        sensed_free.shuffle(rng);
-        sensed_busy.shuffle(rng);
+        rng.shuffle(&mut sensed_free);
+        rng.shuffle(&mut sensed_busy);
         let mut set: Vec<GlobalChannel> = anchors.clone();
         for &b in sensed_free.iter().chain(sensed_busy.iter()) {
             if set.len() == c {
@@ -176,8 +175,6 @@ pub fn sense_assignment(
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn cfg(bands: usize, density: f64, noise: f64) -> SpectrumConfig {
         SpectrumConfig {
@@ -189,7 +186,7 @@ mod tests {
 
     #[test]
     fn produces_valid_assignment() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SimRng::seed_from_u64(3);
         let (a, r) = sense_assignment(10, 8, 3, cfg(50, 0.5, 0.1), &mut rng).unwrap();
         assert_eq!(a.n(), 10);
         assert_eq!(a.c(), 8);
@@ -200,7 +197,7 @@ mod tests {
 
     #[test]
     fn anchors_are_free_and_in_every_set() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SimRng::seed_from_u64(5);
         let (a, r) = sense_assignment(6, 5, 2, cfg(40, 0.8, 0.2), &mut rng).unwrap();
         for anchor in &r.anchors {
             assert!(!r.occupied[anchor.index()], "anchors are never occupied");
@@ -212,7 +209,7 @@ mod tests {
 
     #[test]
     fn zero_noise_zero_density_picks_only_free_bands() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SimRng::seed_from_u64(7);
         let (_, r) = sense_assignment(5, 6, 2, cfg(30, 0.0, 0.0), &mut rng).unwrap();
         assert!(r.sensing_errors.iter().all(|&e| e == 0));
         assert!(r.interfering_picks.iter().all(|&i| i == 0));
@@ -220,7 +217,7 @@ mod tests {
 
     #[test]
     fn perfect_sensing_avoids_primaries_when_spectrum_suffices() {
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = SimRng::seed_from_u64(9);
         // 30% density over 60 bands leaves ~40 free ones; with c = 6
         // and no noise, nobody should pick an occupied band.
         let (_, r) = sense_assignment(8, 6, 2, cfg(60, 0.3, 0.0), &mut rng).unwrap();
@@ -233,7 +230,7 @@ mod tests {
 
     #[test]
     fn noise_induces_interfering_picks() {
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = SimRng::seed_from_u64(11);
         let mut total = 0usize;
         for _ in 0..20 {
             let (_, r) = sense_assignment(8, 6, 1, cfg(40, 0.6, 0.4), &mut rng).unwrap();
@@ -245,7 +242,7 @@ mod tests {
 
     #[test]
     fn crowded_spectrum_still_meets_the_invariant() {
-        let mut rng = StdRng::seed_from_u64(13);
+        let mut rng = SimRng::seed_from_u64(13);
         // Almost everything occupied: nodes must fall back to busy
         // bands, but the k-overlap (anchors) still holds.
         let (a, _) = sense_assignment(12, 10, 2, cfg(20, 0.95, 0.0), &mut rng).unwrap();
@@ -254,7 +251,7 @@ mod tests {
 
     #[test]
     fn invalid_parameters_rejected() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = SimRng::seed_from_u64(0);
         assert!(sense_assignment(0, 4, 2, cfg(10, 0.1, 0.1), &mut rng).is_err());
         assert!(sense_assignment(3, 4, 0, cfg(10, 0.1, 0.1), &mut rng).is_err());
         assert!(sense_assignment(3, 4, 5, cfg(10, 0.1, 0.1), &mut rng).is_err());
@@ -274,7 +271,7 @@ mod tests {
             seed in 0u64..200,
         ) {
             let k = 1 + k_off % c;
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let bands = c * 4 + 8;
             let (a, r) = sense_assignment(n, c, k, cfg(bands, density, noise), &mut rng).unwrap();
             prop_assert!(a.validate().is_ok());

@@ -6,7 +6,7 @@
 //! [`crate::medium::OracleMultihop`] medium delivers transmissions only
 //! along its edges.
 
-use rand::Rng;
+use crate::rng::SimRng;
 
 /// An undirected connectivity graph on `n` nodes.
 ///
@@ -94,7 +94,7 @@ impl Topology {
 
     /// An Erdős–Rényi random graph: each pair is an edge independently
     /// with probability `p`.
-    pub fn erdos_renyi(n: usize, p: f64, rng: &mut impl Rng) -> Self {
+    pub fn erdos_renyi(n: usize, p: f64, rng: &mut SimRng) -> Self {
         let p = p.clamp(0.0, 1.0);
         let mut edges = Vec::new();
         for a in 0..n {
@@ -109,10 +109,8 @@ impl Topology {
 
     /// A random unit-disk graph: `n` points uniform in the unit square,
     /// an edge whenever two points are within `radius`.
-    pub fn unit_disk(n: usize, radius: f64, rng: &mut impl Rng) -> Self {
-        let pts: Vec<(f64, f64)> = (0..n)
-            .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
-            .collect();
+    pub fn unit_disk(n: usize, radius: f64, rng: &mut SimRng) -> Self {
+        let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen_f64(), rng.gen_f64())).collect();
         let r2 = radius * radius;
         let mut edges = Vec::new();
         for a in 0..n {
@@ -201,8 +199,6 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SimRng;
-    use rand::SeedableRng;
 
     #[test]
     fn line_and_ring_shapes() {

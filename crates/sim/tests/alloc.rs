@@ -28,7 +28,6 @@ use crn_sim::{
     Action, Event, GlobalChannel, Jammed, LocalChannel, Network, NodeCtx, NodeId, OracleSingleHop,
     PhysicalDecay, Protocol,
 };
-use rand::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -15,7 +15,6 @@ use crn_sim::{
     Network, NodeCtx, NodeId, OracleSingleHop, PhysicalDecay, Protocol, SlotActivity,
 };
 use proptest::prelude::*;
-use rand::Rng;
 
 /// A COGCAST-shaped hopper: informed nodes broadcast on a uniform
 /// local channel, the rest hop and listen.

@@ -5,8 +5,7 @@
 //! the experiment tables that make close calls use a percentile
 //! bootstrap instead.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crn_sim::rng::SimRng;
 
 /// A percentile-bootstrap confidence interval for the mean.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,7 +58,7 @@ pub fn bootstrap_mean_ci(
     }
     let n = samples.len();
     let mean = samples.iter().sum::<f64>() / n as f64;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SimRng::seed_from_u64(seed);
     let mut means: Vec<f64> = (0..iterations)
         .map(|_| {
             let mut total = 0.0;

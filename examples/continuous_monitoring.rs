@@ -14,13 +14,12 @@ use crn::core::aggregate::Max;
 use crn::core::cogcomp::run_repeated_aggregation;
 use crn::sim::assignment::shared_core;
 use crn::sim::channel_model::StaticChannels;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crn::sim::SimRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (n, c, k) = (30usize, 8usize, 2usize);
     let epochs = 10usize;
-    let mut rng = StdRng::seed_from_u64(99);
+    let mut rng = SimRng::seed_from_u64(99);
 
     // Synthetic drifting readings: a slow warm-up plus noise.
     let rounds: Vec<Vec<Max>> = (0..epochs)

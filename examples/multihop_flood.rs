@@ -13,10 +13,9 @@
 use crn::core::cogcast::run_broadcast_on;
 use crn::sim::assignment::shared_core;
 use crn::sim::channel_model::StaticChannels;
+use crn::sim::SimRng;
 use crn::sim::{OracleMultihop, Topology};
 use crn::stats::Summary;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (c, k) = (4usize, 2usize);
@@ -27,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>16} {:>4} {:>9} {:>12} {:>16}",
         "topology", "n", "diameter", "mean slots", "slots per hop"
     );
-    let mut disk_rng = StdRng::seed_from_u64(77);
+    let mut disk_rng = SimRng::seed_from_u64(77);
     let mut topologies: Vec<(String, Topology)> = vec![
         ("complete".into(), Topology::complete(24)),
         ("grid 6x4".into(), Topology::grid(6, 4)),

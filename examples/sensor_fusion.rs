@@ -13,15 +13,14 @@ use crn::core::aggregate::{Max, MeanAcc, Min};
 use crn::core::cogcomp::run_aggregation_default;
 use crn::sim::assignment::random_with_core;
 use crn::sim::channel_model::StaticChannels;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crn::sim::SimRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (n, c, k) = (60usize, 10usize, 3usize);
     let seed = 7;
 
     // Synthetic readings: tenths of a degree around 21.5 C.
-    let mut rng = StdRng::seed_from_u64(99);
+    let mut rng = SimRng::seed_from_u64(99);
     let readings: Vec<u64> = (0..n).map(|_| 180 + rng.gen_range(0u64..80)).collect();
     let truth_min = *readings.iter().min().unwrap();
     let truth_max = *readings.iter().max().unwrap();
@@ -30,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Each sensor found its own c usable channels; pairwise overlap is
     // at least k but otherwise the sets are random.
     let make_model = |stream: u64| -> Result<_, crn::sim::SimError> {
-        let mut arng = StdRng::seed_from_u64(stream);
+        let mut arng = SimRng::seed_from_u64(stream);
         let a = random_with_core(n, c, k, 64, &mut arng)?;
         Ok(StaticChannels::local(a, seed))
     };

@@ -22,13 +22,12 @@ use crn::core::cogcast::run_broadcast;
 use crn::core::cogcomp::run_aggregation_default;
 use crn::sim::channel_model::StaticChannels;
 use crn::sim::sensing::{sense_assignment, SpectrumConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crn::sim::SimRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (n, c, k) = (24usize, 8usize, 2usize);
     let cfg = SpectrumConfig::tv_white_space();
-    let mut rng = StdRng::seed_from_u64(2015);
+    let mut rng = SimRng::seed_from_u64(2015);
 
     // Step 1: sensing.
     let (assignment, report) = sense_assignment(n, c, k, cfg, &mut rng)?;

@@ -7,9 +7,8 @@ use crn::core::cogcomp::{run_aggregation, run_aggregation_default, CogComp, CogC
 use crn::rendezvous::aggregate::run_baseline_aggregation;
 use crn::sim::assignment::{full_overlap, shared_core, OverlapPattern};
 use crn::sim::channel_model::StaticChannels;
+use crn::sim::SimRng;
 use crn::sim::{Network, OracleSingleHop};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 #[test]
 fn exact_collection_across_patterns_and_seeds() {
@@ -17,7 +16,7 @@ fn exact_collection_across_patterns_and_seeds() {
     let expect: Vec<u64> = (0..n as u64).collect();
     for pattern in OverlapPattern::ALL {
         for seed in 0..4 {
-            let mut rng = StdRng::seed_from_u64(seed * 17 + 3);
+            let mut rng = SimRng::seed_from_u64(seed * 17 + 3);
             let a = pattern.generate(n, c, k, &mut rng).unwrap();
             let model = StaticChannels::local(a, seed);
             let values: Vec<Collect> = (0..n as u64).map(Collect::of).collect();

@@ -7,9 +7,8 @@ use crn::core::tree::DistributionTree;
 use crn::rendezvous::broadcast::run_baseline_broadcast;
 use crn::sim::assignment::{shared_core, OverlapPattern};
 use crn::sim::channel_model::StaticChannels;
+use crn::sim::SimRng;
 use crn::sim::{Network, OracleSingleHop};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 #[test]
 fn cogcast_completes_within_theorem4_budget_across_patterns() {
@@ -17,7 +16,7 @@ fn cogcast_completes_within_theorem4_budget_across_patterns() {
     let budget = bounds::cogcast_slots(n, c, k, bounds::DEFAULT_ALPHA);
     for pattern in OverlapPattern::ALL {
         for seed in 0..5 {
-            let mut rng = StdRng::seed_from_u64(seed * 31);
+            let mut rng = SimRng::seed_from_u64(seed * 31);
             let a = pattern.generate(n, c, k, &mut rng).unwrap();
             let model = StaticChannels::local(a, seed);
             let run = run_broadcast(model, seed, budget).unwrap();

@@ -8,8 +8,7 @@ use crn::lowerbounds::players::{survival_curve, FreshPlayer, UniformPlayer};
 use crn::lowerbounds::reduction::run_reduction_cogcast;
 use crn::sim::assignment::shared_core;
 use crn::sim::channel_model::StaticChannels;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crn::sim::SimRng;
 
 #[test]
 fn measured_cogcast_sits_between_floor_and_budget() {
@@ -44,7 +43,7 @@ fn reduction_rounds_bounded_by_min_c_n_times_slots() {
     // Lemma 12's accounting, with COGCAST as the algorithm.
     for &(c, k, n) in &[(8usize, 2usize, 4usize), (16, 2, 64), (12, 3, 6)] {
         for seed in 0..5 {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let out = run_reduction_cogcast(c, k, n, 10_000_000, &mut rng);
             assert!(out.won, "(c={c},k={k},n={n}) seed {seed}");
             assert!(
@@ -64,7 +63,7 @@ fn lemma11_floor_holds_for_reduction_player_too() {
     let trials = 300;
     let wins_within_floor = (0..trials)
         .filter(|&seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SimRng::seed_from_u64(seed);
             let out = run_reduction_cogcast(c, k, n, 10_000_000, &mut rng);
             out.won && out.game_rounds <= floor
         })

@@ -9,7 +9,6 @@ use crn::jamming::{jammed_budget, run_jammed_broadcast, JammerStrategy};
 use crn::sim::channel_model::DynamicSharedCore;
 use crn::sim::medium::{recommended_rounds, resolve_contention};
 use crn::sim::SimRng;
-use rand::SeedableRng;
 
 #[test]
 fn backoff_realizes_the_abstract_slot_cheaply() {

@@ -10,9 +10,8 @@ use crn::sim::assignment::shared_core;
 use crn::sim::channel_model::StaticChannels;
 use crn::sim::faults::{FaultSchedule, Flaky};
 use crn::sim::sensing::{sense_assignment, SpectrumConfig};
+use crn::sim::SimRng;
 use crn::sim::{Network, OracleSingleHop, PhysicalDecay};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 #[test]
 fn physical_stack_and_oracle_model_agree_on_slot_scale() {
@@ -45,7 +44,7 @@ fn physical_stack_and_oracle_model_agree_on_slot_scale() {
 fn sensed_spectrum_supports_broadcast_and_aggregation() {
     let (n, c, k) = (20usize, 7usize, 2usize);
     for seed in 0..3 {
-        let mut rng = StdRng::seed_from_u64(seed * 13);
+        let mut rng = SimRng::seed_from_u64(seed * 13);
         let (assignment, report) =
             sense_assignment(n, c, k, SpectrumConfig::tv_white_space(), &mut rng).unwrap();
         assert_eq!(report.anchors.len(), k);
@@ -68,7 +67,7 @@ fn heterogeneous_channel_counts_work_end_to_end() {
     // COGCAST and COGCOMP only ever use ctx.c, so they run unchanged.
     use crn::sim::assignment::ragged_with_core;
     for seed in 0..3 {
-        let mut rng = StdRng::seed_from_u64(seed * 7 + 1);
+        let mut rng = SimRng::seed_from_u64(seed * 7 + 1);
         let cs: Vec<usize> = (0..16).map(|i| 3 + (i % 4) * 2).collect();
         let a = ragged_with_core(&cs, 2, 60, &mut rng).unwrap();
         assert!(!a.is_uniform());
@@ -96,7 +95,7 @@ fn heterogeneous_rendezvous_scales_with_product_of_counts() {
         let trials = 150;
         let mut total = 0u64;
         for seed in 0..trials {
-            let mut rng = StdRng::seed_from_u64(seed + 900);
+            let mut rng = SimRng::seed_from_u64(seed + 900);
             let a = ragged_with_core(&[c0, c1], 1, 40 * (c0 + c1), &mut rng).unwrap();
             let model = StaticChannels::local(a, seed);
             total += rendezvous_slots(model, seed, 10_000_000)
@@ -134,7 +133,7 @@ fn permuted_globals_do_not_change_cogcast_statistics() {
     let mean = |permute: bool| -> f64 {
         let mut total = 0u64;
         for seed in 0..trials {
-            let mut rng = StdRng::seed_from_u64(seed + 500);
+            let mut rng = SimRng::seed_from_u64(seed + 500);
             let a = shared_core(n, c, k).unwrap();
             let a = if permute {
                 a.permute_globals(&mut rng)
