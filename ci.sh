@@ -40,6 +40,8 @@
 #  14. the vendored proptest stand-in's own tests (vendor/proptest, its
 #      own workspace): its case generator is a private copy of
 #      crn_sim::rng's, and these tests cover its strategies
+#  15. clippy over vendor/proptest's library and tests with -D
+#      warnings (step 4 covers only the root workspace)
 #
 # Everything is offline: external dependencies resolve to the stubs
 # under vendor/ (see Cargo.toml [workspace.dependencies]).
@@ -101,5 +103,8 @@ echo "==> perfbench: build and transparency test"
 
 echo "==> vendor/proptest: its own tests"
 cargo test -q --manifest-path vendor/proptest/Cargo.toml
+
+echo "==> vendor/proptest: clippy -D warnings"
+cargo clippy --manifest-path vendor/proptest/Cargo.toml --all-targets -- -D warnings
 
 echo "ci.sh: all green"

@@ -30,43 +30,6 @@ pub struct Informed {
     pub channel: LocalChannel,
 }
 
-/// What a COGCAST node did in one slot — recorded so COGCOMP's phase
-/// three can "rewind" phase one (Section 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotRecord {
-    /// Broadcast on the channel; `delivered` is the success feedback.
-    Broadcast {
-        /// Local channel used.
-        channel: LocalChannel,
-        /// Whether this node's transmission was the one received.
-        delivered: bool,
-    },
-    /// Listened on the channel; `informed` is true if this was the slot
-    /// in which the node was first informed.
-    Listen {
-        /// Local channel used.
-        channel: LocalChannel,
-        /// Whether this node was first informed in this slot.
-        informed: bool,
-    },
-    /// The node's radio was off this slot (e.g. a fault window under
-    /// [`crn_sim::faults::Flaky`]). Records stay slot-aligned so the
-    /// phase-three rewind still works after transient outages.
-    Idle,
-}
-
-impl SlotRecord {
-    /// The local channel this record used, if the radio was on.
-    pub fn channel(self) -> Option<LocalChannel> {
-        match self {
-            SlotRecord::Broadcast { channel, .. } | SlotRecord::Listen { channel, .. } => {
-                Some(channel)
-            }
-            SlotRecord::Idle => None,
-        }
-    }
-}
-
 /// The COGCAST protocol state machine for one node.
 ///
 /// Construct the source with [`CogCast::source`] and everyone else with
@@ -103,10 +66,6 @@ pub struct CogCast<M> {
     /// How this node was informed (`None` for the source or while
     /// uninformed).
     informed: Option<Informed>,
-    /// Whether to keep per-slot records (needed by COGCOMP's rewind).
-    recording: bool,
-    /// Per-slot action records (empty unless `recording`).
-    records: Vec<SlotRecord>,
     /// The channel chosen in the current slot (between decide/observe).
     pending_channel: LocalChannel,
 }
@@ -118,8 +77,6 @@ impl<M: Clone> CogCast<M> {
             message: Some(message),
             is_source: true,
             informed: None,
-            recording: false,
-            records: Vec::new(),
             pending_channel: LocalChannel(0),
         }
     }
@@ -130,16 +87,8 @@ impl<M: Clone> CogCast<M> {
             message: None,
             is_source: false,
             informed: None,
-            recording: false,
-            records: Vec::new(),
             pending_channel: LocalChannel(0),
         }
-    }
-
-    /// Enables per-slot action recording (used by COGCOMP's phase 3).
-    pub fn with_recording(mut self) -> Self {
-        self.recording = true;
-        self
     }
 
     /// True once this node knows the message.
@@ -162,23 +111,10 @@ impl<M: Clone> CogCast<M> {
     pub fn informed(&self) -> Option<Informed> {
         self.informed
     }
-
-    /// The recorded per-slot actions (empty unless recording was
-    /// enabled).
-    pub fn records(&self) -> &[SlotRecord] {
-        &self.records
-    }
 }
 
 impl<M: Clone + std::fmt::Debug> Protocol<M> for CogCast<M> {
     fn decide(&mut self, ctx: &NodeCtx<'_>, rng: &mut SimRng) -> Action<M> {
-        if self.recording {
-            // Keep records aligned to absolute slots even if earlier
-            // slots were missed (fault windows suppress decide).
-            while (self.records.len() as u64) < ctx.slot {
-                self.records.push(SlotRecord::Idle);
-            }
-        }
         let ch = LocalChannel(rng.gen_range(0..ctx.c as u32));
         self.pending_channel = ch;
         match &self.message {
@@ -188,38 +124,15 @@ impl<M: Clone + std::fmt::Debug> Protocol<M> for CogCast<M> {
     }
 
     fn observe(&mut self, ctx: &NodeCtx<'_>, event: Event<M>) {
-        let ch = self.pending_channel;
-        let record = match event {
-            Event::Received { from, msg } => {
-                let first_time = self.message.is_none();
-                if first_time {
-                    self.message = Some(msg);
-                    self.informed = Some(Informed {
-                        from,
-                        slot: ctx.slot,
-                        channel: ch,
-                    });
-                }
-                SlotRecord::Listen {
-                    channel: ch,
-                    informed: first_time,
-                }
+        if let Event::Received { from, msg } = event {
+            if self.message.is_none() {
+                self.message = Some(msg);
+                self.informed = Some(Informed {
+                    from,
+                    slot: ctx.slot,
+                    channel: self.pending_channel,
+                });
             }
-            Event::Silence | Event::Jammed if self.message.is_none() => SlotRecord::Listen {
-                channel: ch,
-                informed: false,
-            },
-            Event::Delivered => SlotRecord::Broadcast {
-                channel: ch,
-                delivered: true,
-            },
-            Event::Lost { .. } | Event::Silence | Event::Jammed => SlotRecord::Broadcast {
-                channel: ch,
-                delivered: false,
-            },
-        };
-        if self.recording {
-            self.records.push(record);
         }
     }
 
@@ -488,56 +401,6 @@ mod tests {
                 info.slot
             );
         }
-    }
-
-    #[test]
-    fn recording_captures_every_slot() {
-        let n = 10;
-        let model = StaticChannels::local(shared_core(n, 4, 2).unwrap(), 5);
-        let mut protos = vec![CogCast::source(0u8).with_recording()];
-        protos.extend((1..n).map(|_| CogCast::node().with_recording()));
-        let mut net = Network::with_medium(model, protos, 5, OracleSingleHop::new()).unwrap();
-        net.run_slots(50);
-        for p in net.protocols() {
-            assert_eq!(p.records().len(), 50);
-        }
-    }
-
-    #[test]
-    fn records_mark_informed_slot() {
-        let n = 12;
-        let model = StaticChannels::local(shared_core(n, 4, 2).unwrap(), 8);
-        let mut protos = vec![CogCast::source(0u8).with_recording()];
-        protos.extend((1..n).map(|_| CogCast::node().with_recording()));
-        let mut net = Network::with_medium(model, protos, 8, OracleSingleHop::new()).unwrap();
-        net.run(100_000, |net| net.all_done());
-        for p in net.protocols().iter().skip(1) {
-            let info = p.informed().unwrap();
-            match p.records()[info.slot as usize] {
-                SlotRecord::Listen { channel, informed } => {
-                    assert!(informed);
-                    assert_eq!(channel, info.channel);
-                }
-                other => panic!("expected an informing Listen record, got {other:?}"),
-            }
-            // Exactly one informing record.
-            let informings = p
-                .records()
-                .iter()
-                .filter(|r| matches!(r, SlotRecord::Listen { informed: true, .. }))
-                .count();
-            assert_eq!(informings, 1);
-        }
-    }
-
-    #[test]
-    fn no_recording_by_default() {
-        let model = StaticChannels::local(shared_core(4, 3, 1).unwrap(), 5);
-        let mut protos = vec![CogCast::source(0u8)];
-        protos.extend((1..4).map(|_| CogCast::node()));
-        let mut net = Network::with_medium(model, protos, 5, OracleSingleHop::new()).unwrap();
-        net.run_slots(10);
-        assert!(net.protocols().iter().all(|p| p.records().is_empty()));
     }
 
     #[test]
