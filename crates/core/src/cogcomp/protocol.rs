@@ -337,11 +337,6 @@ impl<V: Aggregate> CogComp<V> {
         &self.results
     }
 
-    /// The phase-four round currently executing (0-based).
-    pub fn current_round(&self) -> u64 {
-        self.round
-    }
-
     /// The size of this node's cluster as counted in phase two
     /// (including itself; 1 until phase two runs).
     pub fn cluster_size(&self) -> u32 {
@@ -351,11 +346,6 @@ impl<V: Aggregate> CogComp<V> {
     /// True if this node was elected mediator of its channel.
     pub fn is_mediator(&self) -> bool {
         self.mediator.is_some()
-    }
-
-    /// Number of (non-empty) clusters this node informed.
-    pub fn informer_cluster_count(&self) -> usize {
-        self.informer_clusters.len()
     }
 
     /// True if the node reached phase four without ever hearing `Init`

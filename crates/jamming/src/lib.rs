@@ -18,10 +18,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod adaptive;
 pub mod jammer;
 pub mod theorem18;
 
-pub use adaptive::SilencerJammer;
 pub use jammer::{JammerStrategy, UniformJammer};
 pub use theorem18::{jammed_budget, run_jammed_broadcast, JammedRun};

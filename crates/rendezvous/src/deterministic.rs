@@ -150,11 +150,6 @@ impl JumpStay {
         }
     }
 
-    /// True once this listener has heard the beacon.
-    pub fn has_met(&self) -> bool {
-        self.met
-    }
-
     /// The guaranteed meeting horizon for an opposite-parity pair with
     /// `c` channels each: `2c` rounds of `2P` slots.
     pub fn horizon(&self, c: usize) -> u64 {

@@ -10,6 +10,8 @@
 //! - [`broadcast`] — rendezvous-based local broadcast, `O((c²/k)·lg n)`
 //!   (no epidemic relay: the factor-`c` gap to COGCAST);
 //! - [`aggregate`] — rendezvous-based aggregation, `O(c²·n/k)`;
+//! - [`deterministic`] — jump-stay rendezvous with a guaranteed
+//!   meeting horizon (T6's deterministic side);
 //! - [`hop_together`] — the global-label sequential scan that completes
 //!   in `O(C/k)` expected slots, the separation witness between the
 //!   local-label (Theorem 15) and global-label (Theorem 16) bounds.
@@ -27,7 +29,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod acquainted;
 pub mod aggregate;
 pub mod broadcast;
 pub mod deterministic;
@@ -35,7 +36,6 @@ pub mod hop_together;
 pub mod msg;
 pub mod pairwise;
 
-pub use acquainted::{run_acquainted, AcqMsg, Acquainted, AcquaintedRun};
 pub use aggregate::{run_baseline_aggregation, BaselineAggregationRun, RendezvousAggregation};
 pub use broadcast::{run_baseline_broadcast, BaselineBroadcastRun, RendezvousBroadcast};
 pub use deterministic::{jump_stay_rendezvous_slots, JumpStay, JumpStaySchedule, SlotPlan};

@@ -37,11 +37,6 @@ impl RandomHop {
             met: false,
         }
     }
-
-    /// True once the pair has met (observable on the listener).
-    pub fn has_met(&self) -> bool {
-        self.met
-    }
 }
 
 impl Protocol<u8> for RandomHop {

@@ -264,12 +264,6 @@ where
         &self.medium
     }
 
-    /// Mutable access to the medium (e.g. to read-and-reset metadata
-    /// counters between runs).
-    pub fn medium_mut(&mut self) -> &mut Med {
-        &mut self.medium
-    }
-
     /// Checks the most recently executed slot against the Section 2
     /// model contract (see [`crate::conformance`]), applying only the
     /// clauses the medium's [`crate::medium::MediumProfile`] claims;

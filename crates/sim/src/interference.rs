@@ -17,40 +17,17 @@ use crate::proto::Event;
 use crate::rng::{derive_rng, streams, SimRng};
 use crate::trace::SlotActivity;
 
-/// A node's committed tuning for the current slot, as visible to an
-/// *adaptive* adversary just before resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Intent {
-    /// The tuned node.
-    pub node: NodeId,
-    /// The physical channel it tuned to.
-    pub channel: GlobalChannel,
-    /// True if it is transmitting (false: listening).
-    pub broadcast: bool,
-}
-
 /// A per-slot, per-node interference decision.
 ///
 /// Implementations live in the `crn-jamming` crate; the simulator only
 /// defines the interface and the [`Jammed`] medium that applies it.
 ///
-/// The default adversary is *oblivious*: it sees only the slot number.
-/// Overriding [`Interference::observe_intents`] yields an *adaptive*
-/// adversary that sees every node's committed channel choice before
-/// deciding what to jam — the strongest model, used to exhibit the
-/// Theorem 17 impossibility intuition (an adaptive channel adversary
-/// can starve communication indefinitely).
+/// The adversary is *oblivious*: it sees only the slot number, never
+/// the nodes' channel choices.
 pub trait Interference {
     /// Advances the adversary to `slot` (e.g. drawing this slot's jam
     /// sets). Called once per slot before any `is_jammed` query.
     fn advance(&mut self, slot: u64, rng: &mut SimRng);
-
-    /// Adaptive hook: called after every node has committed its action
-    /// for `slot` (and after [`Interference::advance`]), before any
-    /// `is_jammed` query. Default: ignore (oblivious adversary).
-    fn observe_intents(&mut self, slot: u64, intents: &[Intent]) {
-        let _ = (slot, intents);
-    }
 
     /// Whether `channel` is jammed for `node` in the current slot.
     fn is_jammed(&self, node: NodeId, channel: GlobalChannel) -> bool;
@@ -68,8 +45,7 @@ pub trait Interference {
 /// A medium subject to an [`Interference`] model.
 ///
 /// Each slot it advances the adversary on the dedicated `JAMMER` RNG
-/// stream, shows it every tuned node's committed intent (ascending
-/// node order), marks the jammed nodes [`Event::Jammed`] and counts
+/// stream, marks the jammed nodes [`Event::Jammed`] and counts
 /// them in [`SlotActivity::jammed`], and hands the unjammed remainder
 /// to the inner medium. The jammer never touches the inner medium's
 /// stream, so wrapping a medium leaves its draws unchanged.
@@ -117,8 +93,6 @@ pub struct Jammed<Med> {
     inner: Med,
     interference: Box<dyn Interference>,
     rng: SimRng,
-    /// The slot's committed tunings, shown to the adversary.
-    intents: Vec<Intent>,
     /// The unjammed remainder of the slot's tunings.
     tuned: Vec<(GlobalChannel, usize, bool)>,
 }
@@ -131,7 +105,6 @@ impl<Med> Jammed<Med> {
             inner,
             interference,
             rng: derive_rng(0, streams::JAMMER),
-            intents: Vec::new(),
             tuned: Vec::new(),
         }
     }
@@ -161,19 +134,6 @@ impl<M: Clone, Med: Medium<M>> Medium<M> for Jammed<Med> {
         activity: &mut SlotActivity,
     ) {
         self.interference.advance(inputs.slot, &mut self.rng);
-        self.intents.clear();
-        self.intents.extend(
-            inputs
-                .tuned
-                .iter()
-                .map(|&(channel, node, broadcast)| Intent {
-                    node: NodeId(node as u32),
-                    channel,
-                    broadcast,
-                }),
-        );
-        self.interference
-            .observe_intents(inputs.slot, &self.intents);
         self.tuned.clear();
         for &(channel, node, broadcast) in inputs.tuned {
             if self.interference.is_jammed(NodeId(node as u32), channel) {
@@ -281,33 +241,5 @@ mod tests {
         // The jammed node is excluded from the channel's listener list.
         let ch = activity.on_channel(GlobalChannel(0)).unwrap();
         assert_eq!(ch.listeners, vec![NodeId(2)]);
-
-        // Adaptive hook sanity: intents carry the committed tunings.
-        struct CaptureIntents(std::sync::Arc<std::sync::Mutex<Vec<Intent>>>);
-        impl Interference for CaptureIntents {
-            fn advance(&mut self, _slot: u64, _rng: &mut SimRng) {}
-            fn observe_intents(&mut self, _slot: u64, intents: &[Intent]) {
-                self.0.lock().unwrap().extend_from_slice(intents);
-            }
-            fn is_jammed(&self, _node: NodeId, _channel: GlobalChannel) -> bool {
-                false
-            }
-        }
-        let captured = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let model = StaticChannels::global(full_overlap(2, 1).unwrap());
-        let protos = vec![
-            fixed(Action::Broadcast(LocalChannel(0), 1)),
-            fixed(Action::Listen(LocalChannel(0))),
-        ];
-        let medium = Jammed::new(
-            OracleSingleHop::new(),
-            Box::new(CaptureIntents(captured.clone())),
-        );
-        let mut net = Network::with_medium(model, protos, 2, medium).unwrap();
-        net.step();
-        let intents = captured.lock().unwrap().clone();
-        assert_eq!(intents.len(), 2);
-        assert!(intents[0].broadcast && !intents[1].broadcast);
-        assert_eq!(intents[0].channel, GlobalChannel(0));
     }
 }

@@ -73,7 +73,6 @@ pub mod medium;
 pub mod pool;
 pub mod proto;
 pub mod rng;
-pub mod sensing;
 pub mod topology;
 pub mod trace;
 
@@ -84,13 +83,12 @@ pub use engine::{Network, ParConfig, RunOutcome, DEFAULT_PAR_THRESHOLD};
 pub use error::SimError;
 pub use faults::{FaultSchedule, Flaky};
 pub use ids::{GlobalChannel, LocalChannel, NodeId};
-pub use interference::{Intent, Interference, Jammed};
+pub use interference::{Interference, Jammed};
 pub use medium::{
     Medium, MediumProfile, OracleMultihop, OracleSingleHop, PhysicalDecay, SlotInputs,
 };
 pub use pool::WorkerPool;
 pub use proto::{Action, Event, NodeCtx, Protocol};
 pub use rng::{derive_rng, mix_seed, SimRng};
-pub use sensing::{sense_assignment, SensingReport, SpectrumConfig};
 pub use topology::Topology;
 pub use trace::{ChannelActivity, SlotActivity, TraceDigest, TraceLog};

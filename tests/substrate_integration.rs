@@ -1,15 +1,13 @@
 //! Cross-crate integration for the substrate extensions: the physical
-//! stack, spectrum sensing, seed-exchange rendezvous, fault injection,
-//! and global-id permutation invariance.
+//! stack, heterogeneous channel counts, fault injection, and global-id
+//! permutation invariance.
 
 use crn::core::aggregate::Sum;
 use crn::core::cogcast::{run_broadcast, run_broadcast_on, CogCast};
 use crn::core::cogcomp::run_aggregation_default;
-use crn::rendezvous::acquainted::run_acquainted;
 use crn::sim::assignment::shared_core;
 use crn::sim::channel_model::StaticChannels;
 use crn::sim::faults::{FaultSchedule, Flaky};
-use crn::sim::sensing::{sense_assignment, SpectrumConfig};
 use crn::sim::SimRng;
 use crn::sim::{Network, OracleSingleHop, PhysicalDecay};
 
@@ -38,27 +36,6 @@ fn physical_stack_and_oracle_model_agree_on_slot_scale() {
         (0.5..2.0).contains(&ratio),
         "stack substitution drifted: ratio {ratio}"
     );
-}
-
-#[test]
-fn sensed_spectrum_supports_broadcast_and_aggregation() {
-    let (n, c, k) = (20usize, 7usize, 2usize);
-    for seed in 0..3 {
-        let mut rng = SimRng::seed_from_u64(seed * 13);
-        let (assignment, report) =
-            sense_assignment(n, c, k, SpectrumConfig::tv_white_space(), &mut rng).unwrap();
-        assert_eq!(report.anchors.len(), k);
-
-        let model = StaticChannels::local(assignment.clone(), seed);
-        let run = run_broadcast(model, seed, 10_000_000).unwrap();
-        assert!(run.completed(), "seed {seed} broadcast");
-
-        let model = StaticChannels::local(assignment, seed + 100);
-        let values: Vec<Sum> = (0..n as u64).map(Sum).collect();
-        let agg = run_aggregation_default(model, values, seed + 100).unwrap();
-        assert!(agg.is_complete(), "seed {seed} aggregation");
-        assert_eq!(agg.result, Some(Sum((0..n as u64).sum())));
-    }
 }
 
 #[test]
@@ -111,16 +88,6 @@ fn heterogeneous_rendezvous_scales_with_product_of_counts() {
         (2.0..8.0).contains(&ratio),
         "expected ~4x from the c_u*c_v product: {small} vs {large}"
     );
-}
-
-#[test]
-fn acquainted_pairs_meet_every_slot_afterwards() {
-    for seed in 0..5 {
-        let model = StaticChannels::global(shared_core(2, 8, 2).unwrap());
-        let run = run_acquainted(model, seed, 10_000_000, 200).unwrap();
-        assert!(run.acquainted_slot.is_some(), "seed {seed}");
-        assert_eq!(run.followup_meetings, 200, "seed {seed}");
-    }
 }
 
 #[test]
