@@ -2,7 +2,6 @@
 //! throughput, per-slot protocol cost), recorded to
 //! `BENCH_engine.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 
 use crn_bench::effort::par_trials;
@@ -88,8 +87,8 @@ fn jump_stay_net() -> Network<u8, JumpStay, StaticChannels> {
     Network::with_medium(model, protos, 1, OracleSingleHop::new()).unwrap()
 }
 
-/// Repetitions behind every `kernels` row; a row reports their median
-/// and their min–max.
+/// Repetitions behind every row but `par_trials`; a row reports their
+/// median and their min–max.
 const REPS: usize = 5;
 
 /// Thread CPU time each repetition runs for at least. The schedstat
@@ -104,11 +103,10 @@ fn thread_cpu_ns() -> u64 {
     std::fs::read_to_string("/proc/thread-self/schedstat")
         .ok()
         .and_then(|stat| stat.split_whitespace().next()?.parse().ok())
-        .expect("the kernels floors read /proc/thread-self/schedstat (Linux only)")
+        .expect("the kernels bench reads /proc/thread-self/schedstat (Linux only)")
 }
 
-/// A `kernels` row's cost: thread-CPU ns per slot over [`REPS`]
-/// repetitions.
+/// A row's cost: thread-CPU ns per slot over [`REPS`] repetitions.
 #[derive(Debug, Clone, Copy)]
 struct Spread {
     median: f64,
@@ -127,18 +125,15 @@ impl Spread {
     }
 }
 
-/// Thread-CPU ns per `step_unrecorded()` slot, the way the protocol
-/// runners step, after a warm-up past the scratch-buffer fill. Each
-/// repetition steps for at least [`MIN_REP_CPU_NS`], reading the clock
-/// (a file read) only every `2^16 / n` slots, so the reads stay a small
-/// share of the time.
-fn unrecorded_ns_per_slot<P: Protocol<u8>, CM: ChannelModel>(
-    net: &mut Network<u8, P, CM>,
-    n: usize,
-) -> Spread {
+/// Thread-CPU ns per slot of `step` (one slot of an `n`-node network),
+/// after a warm-up past the scratch-buffer fill. Each repetition steps
+/// for at least [`MIN_REP_CPU_NS`], reading the clock (a file read)
+/// only every `2^16 / n` slots, so the reads stay a small share of the
+/// time.
+fn cpu_ns_per_slot(n: usize, mut step: impl FnMut()) -> Spread {
     let chunk = ((1 << 16) / n).max(1);
     for _ in 0..chunk.max(2000) {
-        net.step_unrecorded();
+        step();
     }
     let samples = (0..REPS)
         .map(|_| {
@@ -146,7 +141,7 @@ fn unrecorded_ns_per_slot<P: Protocol<u8>, CM: ChannelModel>(
             let mut elapsed = 0;
             while elapsed < MIN_REP_CPU_NS {
                 for _ in 0..chunk {
-                    net.step_unrecorded();
+                    step();
                 }
                 slots += chunk;
                 elapsed = thread_cpu_ns() - t0;
@@ -155,6 +150,17 @@ fn unrecorded_ns_per_slot<P: Protocol<u8>, CM: ChannelModel>(
         })
         .collect();
     Spread::of(samples)
+}
+
+/// Thread-CPU ns per `step_unrecorded()` slot, the way the protocol
+/// runners step.
+fn unrecorded_ns_per_slot<P: Protocol<u8>, CM: ChannelModel>(
+    net: &mut Network<u8, P, CM>,
+    n: usize,
+) -> Spread {
+    cpu_ns_per_slot(n, || {
+        net.step_unrecorded();
+    })
 }
 
 /// COGCOMP `Sum` on `shared_core(n, 8, 2)` with local labels and the
@@ -246,90 +252,68 @@ fn physical_net(
     Network::with_medium(model, protos, seed, PhysicalDecay::new()).unwrap()
 }
 
-/// Wall-clock `(slots/sec, ns/slot)` for one grid point in steady
-/// state (warmed up past the scratch-buffer fill), for `step()` —
-/// channel records built — and for `step_unrecorded()`, as the protocol
-/// runners step. Best of three timed blocks each, the two paths
-/// interleaved so host noise hits both alike.
-fn measure_slots_per_sec(n: usize, c: usize) -> [(f64, f64); 2] {
-    let mut nets = [engine_net(n, c, 1), engine_net(n, c, 1)];
-    let step = |net: &mut Network<u8, CogCast<u8>, StaticChannels>, records: bool| {
-        if records {
-            net.step();
-        } else {
-            net.step_unrecorded();
-        }
-    };
-    for (net, records) in nets.iter_mut().zip([true, false]) {
-        for _ in 0..3000 {
-            step(net, records);
-        }
-    }
-    let slots = (2_000_000 / n).max(2000) as u64;
-    let mut best = [f64::INFINITY; 2];
-    for _ in 0..3 {
-        for ((net, records), best) in nets.iter_mut().zip([true, false]).zip(&mut best) {
-            let t0 = Instant::now();
-            for _ in 0..slots {
-                step(net, records);
-            }
-            *best = best.min(t0.elapsed().as_nanos() as f64 / slots as f64);
-        }
-    }
-    best.map(|ns_per_slot| (1e9 / ns_per_slot, ns_per_slot))
+/// Thread-CPU ns per slot for one grid point: for `step()`, channel
+/// records built, and for `step_unrecorded()`, as the protocol runners
+/// step.
+fn measure_grid_point(n: usize, c: usize) -> [Spread; 2] {
+    let mut net = engine_net(n, c, 1);
+    let recorded = cpu_ns_per_slot(n, || {
+        net.step();
+    });
+    let record_free = unrecorded_ns_per_slot(&mut engine_net(n, c, 1), n);
+    [recorded, record_free]
 }
 
-/// Wall-clock ns per *abstract* slot on the decay-backoff physical
-/// medium — each slot is one fixed-length episode per active channel,
-/// so this runs far fewer slots than the oracle measurement.
-fn measure_physical_ns_per_slot(n: usize, c: usize) -> (f64, f64) {
+/// Thread-CPU ns per *abstract* slot (`step()`) on the decay-backoff
+/// physical medium.
+fn measure_physical_ns_per_slot(n: usize, c: usize) -> Spread {
     let mut net = physical_net(n, c, 1);
-    for _ in 0..100 {
+    cpu_ns_per_slot(n, || {
         net.step();
-    }
-    let slots = (100_000 / n).max(200) as u64;
-    let t0 = Instant::now();
-    for _ in 0..slots {
-        net.step();
-    }
-    let dt = t0.elapsed();
-    (
-        slots as f64 / dt.as_secs_f64(),
-        dt.as_nanos() as f64 / slots as f64,
-    )
+    })
 }
 
 /// Engine slot throughput: measures the [`ENGINE_GRID`] sweep (oracle
-/// and physical media) and the large oracle points with plain
-/// wall-clock timing, the `kernels` floors and COGCOMP rows in thread
-/// CPU time, and records them to `BENCH_engine.json` at
-/// the repository root — the tracked baseline EXPERIMENTS.md and the
-/// README's Performance section reference. Also measures aggregate
-/// throughput with independent trial networks spread across cores via
-/// [`par_trials`], which is how the experiment harness actually
-/// consumes the engine.
-fn write_engine_baseline(_: &mut Criterion) {
+/// and physical media), the large oracle points, the `kernels` floors
+/// and the COGCOMP rows, all in thread CPU time, and records them to
+/// `BENCH_engine.json` at the repository root — the tracked baseline
+/// EXPERIMENTS.md and the README's Performance section reference. Also
+/// measures aggregate wall-clock throughput with independent trial
+/// networks spread across cores via [`par_trials`], which is how the
+/// experiment harness actually consumes the engine.
+fn main() {
+    let spread = |name: &str, ns: Spread| {
+        format!(
+            "\"{name}\": {:.1}, \"{name}_min\": {:.1}, \"{name}_max\": {:.1}",
+            ns.median, ns.min, ns.max
+        )
+    };
     let mut rows = Vec::new();
     let large = LARGE_N.iter().map(|&n| (n, 8));
     for (n, c) in ENGINE_GRID.into_iter().chain(large) {
-        let [(slots_per_sec, ns_per_slot), (_, record_free_ns)] = measure_slots_per_sec(n, c);
+        let [recorded, record_free] = measure_grid_point(n, c);
         rows.push(format!(
-            "    {{\"n\": {n}, \"c\": {c}, \"slots_per_sec\": {slots_per_sec:.0}, \"ns_per_slot\": {ns_per_slot:.1}, \"record_free_ns_per_slot\": {record_free_ns:.1}}}"
+            "    {{\"n\": {n}, \"c\": {c}, {}, {}}}",
+            spread("ns_per_slot", recorded),
+            spread("record_free_ns_per_slot", record_free)
         ));
     }
-    let mut physical_rows = Vec::new();
-    for &(n, c) in &ENGINE_GRID {
-        let (slots_per_sec, ns_per_slot) = measure_physical_ns_per_slot(n, c);
-        physical_rows.push(format!(
-            "    {{\"n\": {n}, \"c\": {c}, \"slots_per_sec\": {slots_per_sec:.0}, \"ns_per_slot\": {ns_per_slot:.1}}}"
-        ));
-    }
+    let physical_rows: Vec<String> = ENGINE_GRID
+        .iter()
+        .map(|&(n, c)| {
+            let ns = measure_physical_ns_per_slot(n, c);
+            format!(
+                "    {{\"n\": {n}, \"c\": {c}, {}}}",
+                spread("ns_per_slot", ns)
+            )
+        })
+        .collect();
 
     let spread_fields = |n: usize, ns: Spread| {
         let per_node = ns.median / n as f64;
         format!(
-            "\"n\": {n}, \"ns_per_slot\": {:.1}, \"ns_per_slot_min\": {:.1}, \"ns_per_slot_max\": {:.1}, \"ns_per_node_slot\": {per_node:.1}",
-            ns.median, ns.min, ns.max
+            "\"n\": {n}, {}, \"ns_per_node_slot\": {per_node:.1}",
+            spread("ns_per_slot", ns)
         )
     };
     let mut floor_rows: Vec<String> = measure_floors()
@@ -363,7 +347,7 @@ fn write_engine_baseline(_: &mut Criterion) {
     let host_cores = crn_sim::pool::default_workers();
     let revision = crn_bench::revision();
     let json = format!(
-        "{{\n  \"bench\": \"slot_engine\",\n  \"workload\": \"COGCAST broadcast, shared_core(n, c, 2), local labels\",\n  \"engine\": \"scratch-buffered, allocation-free steady state, record-free one-pass single-hop resolution (lone participants final in the first pass, only shared channels walked again; lone draws skipped, only contended channels sorted), every trial stepped on one thread\",\n  \"grid_note\": \"ns_per_slot steps with step() (channel records built); record_free_ns_per_slot with step_unrecorded(), as the protocol runners step\",\n  \"host_cores\": {host_cores},\n  \"revision\": \"{revision}\",\n  \"grid\": [\n{}\n  ],\n  \"physical_slot\": [\n{}\n  ],\n  \"kernels_note\": \"step_unrecorded() on one thread, thread CPU time from /proc/thread-self/schedstat: median of {REPS} repetitions of at least {min_rep_s} s each (for cogcomp-sum, each phase), with their min and max. Engine floors: T6's 2-node jump-stay pair, and asleep / listen-on-channel-0 / random broadcast-or-listen nodes on shared_core(n, 8, 2). cogcomp-sum: whole COGCOMP Sum executions on shared_core(n, 8, 2), local labels, alpha = {alpha}; phase_ns_per_slot is the median per phase, one to four\",\n  \"kernels\": [\n{}\n  ],\n  \"par_trials\": {{\"trials\": {trials}, \"slots_per_trial\": {per_trial_slots}, \"aggregate_slots_per_sec\": {aggregate:.0}}}\n}}\n",
+        "{{\n  \"bench\": \"slot_engine\",\n  \"workload\": \"COGCAST broadcast, shared_core(n, c, 2), local labels\",\n  \"engine\": \"scratch-buffered, allocation-free steady state, record-free one-pass single-hop resolution (lone participants final in the first pass, only shared channels walked again; lone draws skipped, only contended channels sorted), every trial stepped on one thread\",\n  \"timing_note\": \"every grid, physical_slot and kernels row is thread CPU time on one thread, from /proc/thread-self/schedstat: the median of {REPS} repetitions of at least {min_rep_s} s each (for cogcomp-sum, each phase), with their min and max\",\n  \"grid_note\": \"ns_per_slot steps with step() (channel records built); record_free_ns_per_slot with step_unrecorded(), as the protocol runners step; physical_slot steps with step()\",\n  \"host_cores\": {host_cores},\n  \"revision\": \"{revision}\",\n  \"grid\": [\n{}\n  ],\n  \"physical_slot\": [\n{}\n  ],\n  \"kernels_note\": \"step_unrecorded(). Engine floors: T6's 2-node jump-stay pair, and asleep / listen-on-channel-0 / random broadcast-or-listen nodes on shared_core(n, 8, 2). cogcomp-sum: whole COGCOMP Sum executions on shared_core(n, 8, 2), local labels, alpha = {alpha}; phase_ns_per_slot is the median per phase, one to four\",\n  \"kernels\": [\n{}\n  ],\n  \"par_trials\": {{\"trials\": {trials}, \"slots_per_trial\": {per_trial_slots}, \"aggregate_slots_per_sec\": {aggregate:.0}}}\n}}\n",
         rows.join(",\n"),
         physical_rows.join(",\n"),
         floor_rows.join(",\n"),
@@ -372,6 +356,3 @@ fn write_engine_baseline(_: &mut Criterion) {
     std::fs::write(path, json).expect("write BENCH_engine.json");
     println!("wrote {path}");
 }
-
-criterion_group!(kernels, write_engine_baseline);
-criterion_main!(kernels);

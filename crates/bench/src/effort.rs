@@ -6,8 +6,8 @@ use std::cell::UnsafeCell;
 /// How much work an experiment invocation spends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
-    /// Reduced trials/grids: seconds per experiment. Used by the
-    /// Criterion benches and `experiments --quick`.
+    /// Reduced trials/grids: seconds per experiment. Used by
+    /// `experiments --quick`.
     Quick,
     /// The full grids reported in EXPERIMENTS.md.
     Full,

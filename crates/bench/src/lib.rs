@@ -10,8 +10,9 @@
 //! cargo run -p crn-bench --bin experiments -- t1 f4
 //! ```
 //!
-//! Criterion benches (`cargo bench -p crn-bench`) time the protocol
-//! kernels themselves.
+//! The `kernels` bench (`cargo bench -p crn-bench --bench kernels`)
+//! times the engine and protocol kernels themselves and records them to
+//! `BENCH_engine.json`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
