@@ -447,18 +447,14 @@ pub fn backoff(opts: &Opts) -> Result<String, String> {
     Ok(out)
 }
 
-/// `crn monitor` — amortized repeated aggregation over one tree.
+/// `crn monitor` — amortized repeated `max` aggregation over one tree.
 pub fn monitor(opts: &Opts) -> Result<String, String> {
     use crn_core::cogcomp::run_repeated_aggregation;
-    opts.expect_keys("monitor", &["n", "c", "k", "seed", "rounds", "op"])?;
+    opts.expect_keys("monitor", &["n", "c", "k", "seed", "rounds"])?;
     let (n, c, k, seed) = shape(opts)?;
     let rounds = opts.get("rounds", 5usize)?;
-    let op = opts.get_str("op", "max");
     if rounds == 0 {
         return Err("need at least one round".into());
-    }
-    if op != "max" {
-        return Err(format!("monitor currently supports --op max, got {op:?}"));
     }
     let a = crn_sim::assignment::shared_core(n, c, k).map_err(|e| e.to_string())?;
     let model = StaticChannels::local(a, seed);
@@ -549,8 +545,8 @@ COMMANDS
               --n 16 --c 12 --k 3 --strategy random|sweep|targeted
   backoff     decay contention resolution on the physical radio
               --m 16 --nmax 256 --trials 200
-  monitor     amortized repeated aggregation (one tree, many rounds)
-              --n 32 --c 8 --k 2 --rounds 5 --op max
+  monitor     amortized repeated max aggregation (one tree, many rounds)
+              --n 32 --c 8 --k 2 --rounds 5
 
 Patterns: full-overlap, shared-core, random-dispersed, random-congested, clustered.
 All commands are deterministic for a fixed --seed.

@@ -43,6 +43,12 @@ fn monitor_rejects_trials() {
 }
 
 #[test]
+fn monitor_rejects_op() {
+    // monitor aggregates only `max`, so the flag has no other value.
+    assert_rejected(&["monitor", "--op", "max"], "unknown flag");
+}
+
+#[test]
 fn threads_flag_is_unknown_to_crn() {
     // crn runs its trials in order on one thread: no pool to size.
     assert_rejected(&["broadcast", "--threads", "2"], "unknown flag");
